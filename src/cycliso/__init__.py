@@ -17,7 +17,6 @@ from .congruence import (
     check_tietze_bridge,
     enumerate_quotient,
     verify_defines,
-    word_normal_form,
 )
 from .cycle import CycleMetric
 from .dihedral import DihedralElement, extensions_of, group_elements
@@ -44,7 +43,7 @@ from .orientation import (
     is_orientation_preserving,
     is_orientation_reversing,
 )
-from .partial_perm import PartialPerm, compose, idempotent, inverse, restrict
+from .partial_perm import PartialPerm, idempotent
 from .presentations import (
     Presentation,
     SatisfactionReport,
@@ -87,7 +86,6 @@ __all__ = [
     "check_satisfaction",
     "check_tietze_bridge",
     "classify_sequence",
-    "compose",
     "enumerate_quotient",
     "evaluate",
     "extensions_of",
@@ -96,7 +94,6 @@ __all__ = [
     "green_oracle",
     "group_elements",
     "idempotent",
-    "inverse",
     "is_order_preserving",
     "is_order_reversing",
     "is_oriented",
@@ -105,10 +102,8 @@ __all__ = [
     "monoid_closure",
     "rank_search",
     "relation_count_formula",
-    "restrict",
     "standard_generators",
     "substitute",
     "units",
     "verify_defines",
-    "word_normal_form",
 ]

@@ -22,10 +22,8 @@ error, 3 enumeration hit its slot budget (inconclusive).
 import argparse
 import csv
 import json
-import os
 import sys
 
-from .cache import default_cache_dir, load_or_build
 from .congruence import (
     BudgetExceededError,
     DEFAULT_BUDGET_FACTOR,
@@ -38,6 +36,8 @@ from .cycle import CycleMetric
 from .green import green_J, green_LRH, green_oracle
 from .monoid import (
     PAIR_SEARCH_BOUND,
+    build_by_bruteforce,
+    build_by_closure,
     build_by_restrictions,
     cardinality_formula,
     rank_search,
@@ -50,6 +50,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+BUILDERS = {
+    "restrictions": build_by_restrictions,
+    "closure": build_by_closure,
+    "bruteforce": build_by_bruteforce,
+}
 
 
 def _positive_n(text):
@@ -84,25 +90,8 @@ def _emit(obj, out):
         sys.stdout.write(text)
 
 
-def _resolve_cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    if os.environ.get("CYCLISO_CACHE_DIR"):
-        return default_cache_dir()
-    return None
-
-
-def _get_monoid(n, method, cache_dir):
-    if cache_dir is not None:
-        monoid, _ = load_or_build(n, method, cache_dir)
-        return monoid
-    from .cache import BUILDERS
-
-    return BUILDERS[method](n)
-
-
 def cmd_enumerate(args):
-    monoid = _get_monoid(args.n, args.method, _resolve_cache_dir(args))
+    monoid = BUILDERS[args.method](args.n)
     lines = [
         json.dumps(a.to_json(), separators=(",", ":")) for a in monoid.elements
     ]
@@ -116,11 +105,10 @@ def cmd_enumerate(args):
 
 
 def cmd_count(args):
-    cache_dir = _resolve_cache_dir(args)
     rows = []
     mismatch = False
     for n in args.n:
-        enumerated = len(_get_monoid(n, "restrictions", cache_dir))
+        enumerated = len(build_by_restrictions(n))
         formula = cardinality_formula(n)
         ok = enumerated == formula
         mismatch = mismatch or not ok
@@ -166,9 +154,7 @@ def cmd_green(args):
 
 def cmd_rank(args):
     monoid = build_by_restrictions(args.n)
-    report = rank_search(
-        monoid, exhaustive_pairs=args.exhaustive_pairs, jobs=args.jobs
-    )
+    report = rank_search(monoid, exhaustive_pairs=args.exhaustive_pairs)
     if not report.pair_search_ran:
         if args.exhaustive_pairs:
             pair_search = f"skipped: n > {PAIR_SEARCH_BOUND} exceeds the pair-scan bound"
@@ -293,19 +279,13 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="emit all elements as JSON lines")
     p.add_argument("--n", type=_positive_n, required=True)
-    p.add_argument(
-        "--method",
-        choices=("restrictions", "closure", "bruteforce"),
-        default="restrictions",
-    )
-    p.add_argument("--cache-dir", help="read/write the element cache here")
+    p.add_argument("--method", choices=tuple(BUILDERS), default="restrictions")
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="element counts over a range of n, as CSV")
     p.add_argument("--n", type=_n_range, required=True, metavar="A..B")
     p.add_argument("--check-formula", action="store_true")
-    p.add_argument("--cache-dir", help="read/write the element cache here")
     common(p)
     p.set_defaults(func=cmd_count)
 
@@ -319,7 +299,6 @@ def build_parser():
     p = sub.add_parser("rank", help="generating-set checks")
     p.add_argument("--n", type=_positive_n, required=True)
     p.add_argument("--exhaustive-pairs", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_rank)
 

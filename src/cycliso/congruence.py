@@ -26,8 +26,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .monoid import build_by_restrictions
+from .monoid import build_by_restrictions, closure_rows
 from .presentations import (
+    aligned_images,
     build_Q,
     build_R,
     check_satisfaction,
@@ -40,7 +41,6 @@ __all__ = [
     "BudgetExceededError",
     "CongruenceTable",
     "enumerate_quotient",
-    "word_normal_form",
     "check_consequence",
     "VerifyReport",
     "verify_defines",
@@ -208,11 +208,6 @@ def enumerate_quotient(presentation, max_slots):
     )
 
 
-def word_normal_form(table, word):
-    """Class ordinal of a word: its normal form in the quotient."""
-    return table.trace(word)
-
-
 def check_consequence(table, lhs, rhs):
     """Does lhs = rhs hold in the presented monoid?
 
@@ -241,11 +236,23 @@ class VerifyReport:
 def verify_defines(presentation, monoid, images=None, max_slots=None):
     """Decide whether the presentation defines the given monoid.
 
-    First requires the generator assignment to satisfy every relation
-    (so the monoid is a quotient of the presented one), then enumerates
-    the presented monoid and compares cardinalities: equal finite sizes
-    force the quotient map to be an isomorphism.
+    First requires the generator images to lie in the monoid and to
+    satisfy every relation, so that the submonoid they generate is a
+    quotient of the presented monoid.  Then enumerates the presented
+    monoid and compares cardinalities.  When the sizes are equal it also
+    requires the images to generate the whole monoid: only then do equal
+    finite sizes force the quotient map to be an isomorphism.  Unequal
+    sizes prove the two monoids differ whatever the images.  An assignment
+    that fails a requirement raises ValueError.
     """
+    if presentation.n != monoid.n:
+        raise ValueError(
+            f"presentation on {presentation.n} points, monoid on {monoid.n}"
+        )
+    images = aligned_images(presentation, images)
+    for name, a in zip(presentation.alphabet, images):
+        if a not in monoid:
+            raise ValueError(f"image of {name} is not an element of the monoid")
     report = check_satisfaction(presentation, images)
     if not report.ok:
         raise ValueError(
@@ -271,7 +278,14 @@ def verify_defines(presentation, monoid, images=None, max_slots=None):
             wall_ms,
         )
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    verdict = "defines" if table.size == target else "differs"
+    if table.size == target:
+        # Run after the enumeration so that its memory does not add to
+        # the enumeration's peak.
+        if len(closure_rows(monoid.n, [a.row for a in images])) != target:
+            raise ValueError("the images do not generate the monoid")
+        verdict = "defines"
+    else:
+        verdict = "differs"
     return VerifyReport(
         presentation.name,
         presentation.n,

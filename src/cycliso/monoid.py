@@ -26,6 +26,7 @@ from .partial_perm import PartialPerm, idempotent
 __all__ = [
     "FiniteMonoid",
     "standard_generators",
+    "closure_rows",
     "monoid_closure",
     "build_by_restrictions",
     "build_by_closure",
@@ -115,33 +116,28 @@ def standard_generators(n):
     }
 
 
-def _compose_rows(a, b):
-    return tuple(b[y - 1] if y else 0 for y in a)
+def closure_rows(n, gen_rows):
+    """Rows of the monoid the given rows generate, in discovery order.
 
-
-def monoid_closure(n, gens, stop_size=None):
-    """Smallest composition-closed set containing the identity and gens.
-
-    Breadth-first over right products by the generators, in discovery
-    order.  Stops early once stop_size elements are found, for searches
-    that only need "does it reach the whole monoid".
+    Breadth-first from the identity over right products by the
+    generators.
     """
-    gen_rows = list(dict.fromkeys(a.row for a in gens))
-    ident = PartialPerm.identity(n).row
+    ident = tuple(range(1, n + 1))
     order = [ident]
     seen = {ident}
-    qi = 0
-    while qi < len(order):
-        r = order[qi]
-        qi += 1
+    for r in order:
         for gr in gen_rows:
-            pr = _compose_rows(r, gr)
+            pr = tuple(gr[y - 1] if y else 0 for y in r)
             if pr not in seen:
                 seen.add(pr)
                 order.append(pr)
-                if stop_size is not None and len(order) >= stop_size:
-                    return [PartialPerm(n, row) for row in order]
-    return [PartialPerm(n, row) for row in order]
+    return order
+
+
+def monoid_closure(n, gens):
+    """Smallest composition-closed set containing the identity and gens."""
+    gen_rows = list(dict.fromkeys(a.row for a in gens))
+    return [PartialPerm(n, row) for row in closure_rows(n, gen_rows)]
 
 
 @lru_cache(maxsize=None)
@@ -260,40 +256,7 @@ class RankReport:
         )
 
 
-def _closure_reaches(n, seed_rows, target_size):
-    """Does the monoid closure of the seeds reach target_size elements?"""
-    ident = tuple(range(1, n + 1))
-    order = [ident]
-    seen = {ident}
-    qi = 0
-    while qi < len(order):
-        r = order[qi]
-        qi += 1
-        for gr in seed_rows:
-            pr = tuple(gr[y - 1] if y else 0 for y in r)
-            if pr not in seen:
-                seen.add(pr)
-                if len(seen) >= target_size:
-                    return True
-                order.append(pr)
-    return False
-
-
-def _scan_pair_stripe(args):
-    """Worker: test all pairs (i, j), j > i, for i in the given stripe."""
-    n, rows, size, start, step = args
-    checked = 0
-    found = []
-    for i in range(start, size, step):
-        ri = rows[i]
-        for j in range(i + 1, size):
-            checked += 1
-            if _closure_reaches(n, (ri, rows[j]), size):
-                found.append((i, j))
-    return checked, found
-
-
-def rank_search(m, exhaustive_pairs=False, jobs=1, pair_bound=PAIR_SEARCH_BOUND):
+def rank_search(m, exhaustive_pairs=False, pair_bound=PAIR_SEARCH_BOUND):
     """Confirm {g, h, e_n} generates m and (optionally) that no 1- or
     2-element subset does.
 
@@ -309,18 +272,13 @@ def rank_search(m, exhaustive_pairs=False, jobs=1, pair_bound=PAIR_SEARCH_BOUND)
         return RankReport(n, size, triple_ok, None, None, (), ())
 
     rows = m.element_rows()
-    singles = tuple(
-        i for i in range(size) if _closure_reaches(n, (rows[i],), size)
-    )
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        stripes = [(n, rows, size, s, jobs) for s in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_pair_stripe, stripes))
-        checked = sum(c for c, _ in results)
-        pairs = tuple(sorted(p for _, fs in results for p in fs))
-    else:
-        checked, found = _scan_pair_stripe((n, rows, size, 0, 1))
-        pairs = tuple(found)
+    def generates(*seeds):
+        return len(closure_rows(n, seeds)) >= size
+
+    singles = tuple(i for i in range(size) if generates(rows[i]))
+    pairs = tuple(
+        (i, j) for i, j in combinations(range(size), 2) if generates(rows[i], rows[j])
+    )
+    checked = size * (size - 1) // 2
     return RankReport(n, size, triple_ok, size, checked, singles, pairs)

@@ -16,9 +16,6 @@ Conventions used throughout this package:
 
 __all__ = [
     "PartialPerm",
-    "compose",
-    "inverse",
-    "restrict",
     "idempotent",
 ]
 
@@ -180,19 +177,6 @@ class PartialPerm:
     def __repr__(self):
         body = ", ".join(f"{x}:{y}" for x, y in self)
         return f"PartialPerm({self.n}, {{{body}}})"
-
-
-def compose(a, b):
-    """Left-to-right product of two partial permutations."""
-    return a.compose(b)
-
-
-def inverse(a):
-    return a.inverse()
-
-
-def restrict(a, points):
-    return a.restrict(points)
 
 
 def idempotent(n, i):

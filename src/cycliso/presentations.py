@@ -29,6 +29,7 @@ __all__ = [
     "build_R",
     "build_Q",
     "canonical_images",
+    "aligned_images",
     "evaluate",
     "check_satisfaction",
     "substitute",
@@ -247,20 +248,29 @@ class SatisfactionReport:
         return not self.failures
 
 
-def check_satisfaction(presentation, images=None):
-    """Evaluate every relation under the assignment; report any that fail.
+def aligned_images(presentation, images=None):
+    """The generator assignment as a tuple aligned with the alphabet.
 
     `images` may be a sequence aligned with the alphabet or a mapping
     from letter name to partial permutation; by default the canonical
     assignment is used.
     """
     if images is None:
-        images = canonical_images(presentation)
-    elif hasattr(images, "keys"):
+        return canonical_images(presentation)
+    if hasattr(images, "keys"):
         try:
-            images = tuple(images[name] for name in presentation.alphabet)
+            return tuple(images[name] for name in presentation.alphabet)
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} unassigned") from None
+    return tuple(images)
+
+
+def check_satisfaction(presentation, images=None):
+    """Evaluate every relation under the assignment; report any that fail.
+
+    `images` is taken as by `aligned_images`.
+    """
+    images = aligned_images(presentation, images)
     failures = []
     for k, (lhs, rhs) in enumerate(presentation.relations):
         if evaluate(lhs, images) != evaluate(rhs, images):

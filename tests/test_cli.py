@@ -37,20 +37,49 @@ def test_count_is_byte_deterministic(capsys):
 
 def test_enumerate_to_file_and_cache(tmp_path, capsys):
     out = tmp_path / "m3.jsonl"
-    cache = tmp_path / "cache"
-    code, _, _ = run(
-        capsys, "enumerate", "--n", "3", "--out", str(out), "--cache-dir", str(cache)
-    )
+    code, _, _ = run(capsys, "enumerate", "--n", "3", "--out", str(out))
     assert code == 0
     lines = out.read_text().strip().splitlines()
     m = build_by_restrictions(3)
     assert len(lines) == len(m)
     assert [json.loads(x) for x in lines] == [a.to_json() for a in m.elements]
-    # cached rerun must reproduce the same bytes
+    # a rerun must reproduce the same bytes
     first = out.read_bytes()
-    assert any(cache.iterdir())
-    run(capsys, "enumerate", "--n", "3", "--out", str(out), "--cache-dir", str(cache))
+    run(capsys, "enumerate", "--n", "3", "--out", str(out))
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["enumerate", "--n", "5", "--cache-dir", "CACHE"], 2),
+        (["rank", "--n", "3", "--jobs", "2"], 2),
+        (["enumerate", "--n", "5"], 0),
+    ],
+    ids=["cache-dir-flag", "jobs-flag", "cache-env-var"],
+)
+def test_no_cache_or_jobs_knobs(argv, code, tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = [str(cache) if a == "CACHE" else a for a in argv]
+
+    def outcome():
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        return got, capsys.readouterr()
+
+    plain_code, plain = outcome()
+    monkeypatch.setenv("CYCLISO_CACHE_DIR", str(cache))
+    env_code, with_env = outcome()
+    assert plain_code == env_code == code
+    assert plain.out == with_env.out
+    if code == 2:
+        assert "unrecognized arguments" in with_env.err
+    else:
+        assert len(plain.out.splitlines()) == cardinality_formula(5)
+    assert not any(cache.iterdir())
 
 
 def test_enumerate_methods_agree(capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from cycliso import (
     BudgetExceededError,
+    PartialPerm,
     Presentation,
     build_by_restrictions,
     build_Q,
@@ -13,7 +14,6 @@ from cycliso import (
     enumerate_quotient,
     evaluate,
     verify_defines,
-    word_normal_form,
 )
 from conftest import drop_family
 
@@ -63,11 +63,11 @@ def test_normal_forms(tables):
     p = build_R(3)
     g, h = p.letter("g"), p.letter("h")
     e2, e3 = p.letter("e_2"), p.letter("e_3")
-    assert word_normal_form(t, (g, g, g)) == 0
-    assert word_normal_form(t, (h, h)) == 0
+    assert t.trace((g, g, g)) == 0
+    assert t.trace((h, h)) == 0
     # the odd-n gluing relation: hg absorbed by e_2 e_3
-    assert word_normal_form(t, (h, g, e2, e3)) == word_normal_form(t, (e2, e3))
-    assert word_normal_form(t, (e2,)) != word_normal_form(t, (e3,))
+    assert t.trace((h, g, e2, e3)) == t.trace((e2, e3))
+    assert t.trace((e2,)) != t.trace((e3,))
 
 
 def test_normal_form_classes_count_elements(tables):
@@ -137,6 +137,26 @@ def test_verify_defines_rejects_bad_assignment():
     images["g"], images["h"] = images["h"], images["g"]
     with pytest.raises(ValueError):
         verify_defines(p, build_by_restrictions(3), images=images)
+
+
+@pytest.mark.parametrize(
+    "monoid_n, image, message",
+    [
+        (4, PartialPerm.identity(4), "do not generate"),
+        (5, None, "on 4 points, monoid on 5"),
+        (4, PartialPerm.identity(5), "not an element"),
+    ],
+    ids=["images-do-not-generate", "monoid-on-other-n", "images-outside-monoid"],
+)
+def test_verify_defines_rejects_assignments_that_prove_nothing(
+    monoid_n, image, message
+):
+    # Every assignment satisfies the Q relations at n=4, but the identity
+    # images generate only {1}, the canonical images act on 4 points and
+    # the monoid on 5, and the identity on 5 points is not in M_4.
+    images = None if image is None else (image,) * 3
+    with pytest.raises(ValueError, match=message):
+        verify_defines(build_Q(4), build_by_restrictions(monoid_n), images=images)
 
 
 def test_duplicate_relations_do_not_change_the_result():

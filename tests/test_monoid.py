@@ -193,8 +193,19 @@ def test_rank_search_respects_pair_bound():
     assert not report.pair_search_ran
 
 
-def test_rank_search_parallel_agrees():
-    m = build_by_restrictions(3)
-    seq = rank_search(m, exhaustive_pairs=True, jobs=1)
-    par = rank_search(m, exhaustive_pairs=True, jobs=2)
-    assert seq == par
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_structural_rank_bound_agrees_with_the_pair_scan(n):
+    m = build_by_restrictions(n)
+    rows = m.element_rows()
+    # A product is total only if both factors are, so the units in a
+    # generating set must generate the unit group D_n on their own.
+    for ra in rows:
+        for rb in rows:
+            if all(rb[y - 1] if y else 0 for y in ra):
+                assert all(ra) and all(rb)
+    # D_n is not cyclic, so that takes two units; and units multiply to
+    # units, so a non-unit is needed as well: the rank is at least 3.
+    group = [a for a in m if a.is_total]
+    assert len(group) == 2 * n
+    assert all(len(monoid_closure(n, [u])) < 2 * n for u in group)
+    assert rank_search(m, exhaustive_pairs=True).minimum_is_three

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycliso import PartialPerm, compose, idempotent, inverse, restrict
+from cycliso import PartialPerm, idempotent
 from cycliso.dihedral import DihedralElement
 
 
@@ -49,12 +49,12 @@ def test_compose_disjoint_is_empty():
 
 def test_compose_mismatched_sizes():
     with pytest.raises(ValueError):
-        compose(pperm(3, {1: 1}), pperm(4, {1: 1}))
+        pperm(3, {1: 1}).compose(pperm(4, {1: 1}))
 
 
 def test_inverse_swaps_domain_and_image():
     a = pperm(4, {1: 2, 2: 3})
-    assert inverse(a) == pperm(4, {2: 1, 3: 2})
+    assert a.inverse() == pperm(4, {2: 1, 3: 2})
     assert a.inverse().domain() == a.image()
     assert a.inverse().image() == a.domain()
 
@@ -80,7 +80,7 @@ def test_idempotent_range_check():
 
 def test_restrict():
     g = DihedralElement.rotation(5).to_partial_perm()
-    assert restrict(g, (1, 3)) == pperm(5, {1: 2, 3: 4})
+    assert g.restrict((1, 3)) == pperm(5, {1: 2, 3: 4})
     assert g.restrict(range(1, 6)) == g
     assert g.restrict(()) == PartialPerm.empty(5)
     # points outside the domain are silently dropped
