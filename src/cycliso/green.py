@@ -2,11 +2,12 @@
 
 Two routes, kept independent on purpose:
 
-- ``green_LRH`` and ``green_J`` use the structure theory: L is "same
-  image", R is "same domain", H is both, and J is decided by rank and
-  by the shape of the domain alone (distance of the pair at rank 2; at
-  rank >= 3, whether some symmetry of the *index positions* carries one
-  sorted domain onto the other through a partial isometry).
+- ``green_LRH`` and ``green_J`` use the structure theory, reading every
+  key off the element's row as a bitmask: L is "same image", R is "same
+  domain", H is both, and J is "same dihedral orbit of the domain".
+  Every element is a restriction of one of the 2n symmetries, so a
+  partial isometry carries one domain onto another exactly when a
+  symmetry does.
 - ``green_oracle`` uses only the definitions, computing principal ideals
   M a, a M and M a M from the full multiplication table.
 
@@ -14,13 +15,11 @@ The two must produce identical partitions; tests enforce that.
 """
 
 from dataclasses import dataclass
-
-from .dihedral import group_elements
-from .partial_perm import PartialPerm
+from itertools import compress
 
 __all__ = ["GreenClasses", "green_LRH", "green_J", "green_oracle"]
 
-ORACLE_SIZE_BOUND = 1024  # |M|^2 products; covers n <= 6
+ORACLE_SIZE_BOUND = 1024  # |M|; the oracle tabulates all |M|^2 products, so n <= 6
 
 
 @dataclass(frozen=True)
@@ -53,84 +52,74 @@ def _group_by(keyed):
     return tuple(classes)
 
 
+def _domain_masks(m):
+    """Each element's domain mask: bit i is set iff point i + 1 is in it."""
+    bits = [1 << i for i in range(m.n)]
+    return (sum(compress(bits, row)) for row in m.element_rows())
+
+
+def _image_masks(m):
+    """Each element's image mask: bit y - 1 is set iff point y is in it."""
+    bit = (0,) + tuple(1 << i for i in range(m.n))
+    return (sum(map(bit.__getitem__, row)) for row in m.element_rows())
+
+
+def _orbit_keys(n):
+    """key[mask]: the least mask in the dihedral orbit of ``mask``.
+
+    The orbit is the n cyclic shifts of the mask and of its bit
+    reversal, i.e. the images of the point set under the 2n symmetries.
+    Masks are visited in increasing order, so the first one met in an
+    orbit is its least member.
+
+    >>> _orbit_keys(4)
+    [0, 1, 1, 3, 1, 5, 3, 7, 1, 3, 5, 7, 3, 7, 7, 15]
+    >>> len(set(_orbit_keys(6)))  # binary bracelets of length 6
+    13
+    """
+    full = (1 << n) - 1
+    key = [None] * (1 << n)
+    for mask in range(1 << n):
+        if key[mask] is not None:
+            continue
+        rev = int(format(mask, f"0{n}b")[::-1], 2)
+        for x in (mask, rev):
+            for k in range(n):
+                key[(x << k | x >> (n - k)) & full] = mask
+    return key
+
+
 def green_LRH(m, relation):
-    """L, R or H classes via image / domain / both."""
+    """L, R or H classes via image mask / domain mask / both."""
     if relation not in ("L", "R", "H"):
         raise ValueError(f"relation must be L, R or H, got {relation!r}")
-    keyed = []
-    for i, a in enumerate(m.elements):
-        if relation == "L":
-            key = a.image()
-        elif relation == "R":
-            key = a.domain()
-        else:
-            key = (a.domain(), a.image())
-        keyed.append((key, i))
-    return GreenClasses(relation, _group_by(keyed))
-
-
-def _domains_related(metric, dom_a, dom_b):
-    """Does some symmetry of the k index positions carry dom_b onto dom_a
-    through a partial isometry of the n-cycle?
-
-    dom_a and dom_b are ascending tuples of equal length k >= 3.  For a
-    symmetry s of the k-cycle of positions, the candidate map sends
-    dom_b[p] to dom_a[s(p)]; relatedness means some candidate preserves
-    the distance on the big cycle.
-    """
-    k = len(dom_a)
-    for s in group_elements(k):
-        pairs = {dom_b[p - 1]: dom_a[s.act(p) - 1] for p in range(1, k + 1)}
-        if metric.is_partial_isometry(PartialPerm.from_pairs(metric.n, pairs)):
-            return True
-    return False
+    if relation == "L":
+        keys = _image_masks(m)
+    elif relation == "R":
+        keys = _domain_masks(m)
+    else:
+        keys = zip(_domain_masks(m), _image_masks(m))
+    return GreenClasses(relation, _group_by(zip(keys, range(len(m)))))
 
 
 def green_J(m, metric):
-    """J classes via rank and domain shape.
+    """J classes: two elements are related iff a symmetry of the cycle
+    carries one domain onto the other.
 
-    Rank 0 and rank 1 each form a single class.  Two rank-2 elements are
-    related iff their domain pairs lie at the same distance.  At rank
-    k >= 3 relatedness of elements reduces to relatedness of their
-    domains under ``_domains_related``.
+    ``metric`` must be the cycle metric the monoid lives on.
     """
-    classes = []
-    by_rank = {}
-    for i, a in enumerate(m.elements):
-        by_rank.setdefault(a.rank, []).append(i)
-    for rank in sorted(by_rank):
-        members = by_rank[rank]
-        if rank <= 1:
-            classes.append(tuple(sorted(members)))
-            continue
-        if rank == 2:
-            keyed = []
-            for i in members:
-                x, y = m.elements[i].domain()
-                keyed.append((metric.distance(x, y), i))
-            classes.extend(_group_by(keyed))
-            continue
-        domains = sorted({m.elements[i].domain() for i in members})
-        reps = []  # one known domain per class found so far
-        label = {}
-        for dom in domains:
-            for r, rep_dom in enumerate(reps):
-                if _domains_related(metric, rep_dom, dom):
-                    label[dom] = r
-                    break
-            else:
-                label[dom] = len(reps)
-                reps.append(dom)
-        keyed = [(label[m.elements[i].domain()], i) for i in members]
-        classes.extend(_group_by(keyed))
-    return GreenClasses("J", tuple(sorted(classes)))
+    if metric.n != m.n:
+        raise ValueError(f"metric on {metric.n} points, monoid on {m.n}")
+    key = _orbit_keys(m.n)
+    keyed = zip(map(key.__getitem__, _domain_masks(m)), range(len(m)))
+    return GreenClasses("J", _group_by(keyed))
 
 
 def green_oracle(m, relation, size_bound=ORACLE_SIZE_BOUND):
     """Green classes straight from the definitions, via principal ideals.
 
-    Builds the full |M| x |M| product table, represents each left ideal
-    M a as a bitmask, and reads off:
+    Uses the monoid's |M| x |M| product table, with each left ideal
+    M a and right ideal a M as a bitmask, and reads off:
 
         a L b  iff  M a = M b        a R b  iff  a M = b M
         a H b  iff  both             a J b  iff  M a M = M b M
@@ -143,25 +132,7 @@ def green_oracle(m, relation, size_bound=ORACLE_SIZE_BOUND):
     size = len(m)
     if size > size_bound:
         raise ValueError(f"|M| = {size} above oracle size bound {size_bound}")
-    rows = m.element_rows()
-    index = {row: i for i, row in enumerate(rows)}
-    prod = []
-    for a in rows:
-        line = []
-        for b in rows:
-            line.append(index[tuple(b[y - 1] if y else 0 for y in a)])
-        prod.append(line)
-
-    right_mask = [0] * size  # bits of a M, the row through a
-    left_mask = [0] * size  # bits of M a, the column through a
-    for i in range(size):
-        line = prod[i]
-        rm = 0
-        for j in range(size):
-            bit = 1 << line[j]
-            rm |= bit
-            left_mask[j] |= bit  # prod[i][j] lands in the left ideal M·j
-        right_mask[i] = rm
+    prod, left_mask, right_mask = m.principal_ideals()
 
     if relation == "L":
         keyed = [(left_mask[i], i) for i in range(size)]
@@ -173,11 +144,8 @@ def green_oracle(m, relation, size_bound=ORACLE_SIZE_BOUND):
         keyed = []
         for i in range(size):
             two_sided = 0
-            seen = set()
-            for c in prod[i]:
-                if c not in seen:
-                    seen.add(c)
-                    two_sided |= left_mask[c]
+            for c in set(prod[i]):
+                two_sided |= left_mask[c]
             keyed.append((two_sided, i))
     else:  # D: join of L and R as partitions
         parent = list(range(size))

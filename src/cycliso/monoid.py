@@ -18,6 +18,7 @@ The element count obeys a closed formula split by parity, implemented in
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .cycle import CycleMetric
 from .dihedral import DihedralElement, group_elements
@@ -74,6 +75,7 @@ class FiniteMonoid:
             if a not in self.index:
                 raise ValueError(f"generator {name} is not an element")
         self._rows = None
+        self._ideals = None
 
     def __len__(self):
         return len(self.elements)
@@ -99,6 +101,28 @@ class FiniteMonoid:
         if self._rows is None:
             self._rows = tuple(a.row for a in self.elements)
         return self._rows
+
+    def principal_ideals(self):
+        """(prod, left, right), cached: prod[i][j] is the ordinal of
+        elements[i] * elements[j], left[j] the bitmask of the left ideal
+        M·elements[j] and right[i] that of elements[i]·M.
+
+        Tabulates all |M|^2 products, so callers bound |M| first.
+        """
+        if self._ideals is None:
+            rows = self.element_rows()
+            index = {row: i for i, row in enumerate(rows)}
+            # a * b has row b[a[x]]; a leading 0 sends undefined points to 0
+            padded = [(0,) + row for row in rows]
+            prod = [
+                list(map(index.__getitem__, map(itemgetter(*a), padded)))
+                for a in rows
+            ]
+            bit = [1 << k for k in range(len(rows))]
+            right = [sum(map(bit.__getitem__, set(line))) for line in prod]
+            left = [sum(map(bit.__getitem__, set(col))) for col in zip(*prod)]
+            self._ideals = (prod, left, right)
+        return self._ideals
 
     def units(self):
         """The group of total elements, as a monoid on the same points."""

@@ -1,12 +1,18 @@
 import doctest
 
 import cycliso.cycle
+import cycliso.green
 import cycliso.orientation
 import cycliso.partial_perm
 
 
 def test_module_doctests():
-    for mod in (cycliso.partial_perm, cycliso.cycle, cycliso.orientation):
+    for mod in (
+        cycliso.partial_perm,
+        cycliso.cycle,
+        cycliso.green,
+        cycliso.orientation,
+    ):
         # verbose defaults to ("-v" in sys.argv), which pytest -v would trip
         result = doctest.testmod(mod, verbose=False)
         assert result.failed == 0, mod.__name__

@@ -1,12 +1,17 @@
+from math import gcd
+
 import pytest
 
 from cycliso import (
     CycleMetric,
+    FiniteMonoid,
+    GreenClasses,
     PartialPerm,
     build_by_restrictions,
     green_J,
     green_LRH,
     green_oracle,
+    group_elements,
     units,
 )
 
@@ -84,6 +89,93 @@ def test_characterization_matches_oracle():
         for rel in ("L", "R", "H"):
             assert green_LRH(m, rel).partition() == green_oracle(m, rel).partition()
         assert green_J(m, metric).partition() == green_oracle(m, "J").partition()
+
+
+def _domains_related(metric, dom_a, dom_b):
+    """Does some symmetry of the k index positions carry dom_b onto dom_a
+    through a partial isometry of the n-cycle?
+
+    dom_a and dom_b are ascending tuples of equal length k >= 3.  For a
+    symmetry s of the k-cycle of positions, the candidate map sends
+    dom_b[p] to dom_a[s(p)]; relatedness means some candidate preserves
+    the distance on the big cycle.
+    """
+    k = len(dom_a)
+    for s in group_elements(k):
+        pairs = {dom_b[p - 1]: dom_a[s.act(p) - 1] for p in range(1, k + 1)}
+        if metric.is_partial_isometry(PartialPerm.from_pairs(metric.n, pairs)):
+            return True
+    return False
+
+
+def reference_J(m, metric):
+    """J classes by rank and domain shape, with a pairwise search at rank
+    >= 3: the structure-theory route before the orbit key, kept as a
+    second reference where the ideal oracle is too big to run."""
+    label = {}  # domain -> class key
+    reps = []  # one domain per rank >= 3 class found so far
+    for dom in sorted({a.domain() for a in m.elements}):
+        if len(dom) <= 1:
+            label[dom] = len(dom)
+        elif len(dom) == 2:
+            label[dom] = (2, metric.distance(*dom))
+        else:
+            for r, rep in enumerate(reps):
+                if len(rep) == len(dom) and _domains_related(metric, rep, dom):
+                    label[dom] = (3, r)
+                    break
+            else:
+                label[dom] = (3, len(reps))
+                reps.append(dom)
+    by_key = {}
+    for i, a in enumerate(m.elements):
+        by_key.setdefault(label[a.domain()], []).append(i)
+    return GreenClasses("J", tuple(sorted(tuple(c) for c in by_key.values())))
+
+
+def test_J_matches_pairwise_reference_beyond_oracle_range():
+    for n in range(3, 10):
+        m = build_by_restrictions(n)
+        metric = CycleMetric(n)
+        assert green_J(m, metric) == reference_J(m, metric), n
+
+
+def bracelets(n):
+    """Binary bracelets of length n by Burnside's lemma over D_n."""
+    fixed = sum(2 ** gcd(k, n) for k in range(n))  # rotations
+    if n % 2:
+        fixed += n * 2 ** ((n + 1) // 2)  # each reflection fixes one point
+    else:
+        fixed += n // 2 * (2 ** (n // 2 + 1) + 2 ** (n // 2))
+    return fixed // (2 * n)
+
+
+def test_J_class_count_is_binary_bracelets():
+    counts = [bracelets(n) for n in range(3, 13)]
+    assert counts == [4, 6, 8, 13, 18, 30, 46, 78, 126, 224]
+    for n, count in zip(range(3, 13), counts):
+        assert green_J(build_by_restrictions(n), CycleMetric(n)).class_count == count
+
+
+def test_J_rejects_metric_of_another_cycle():
+    # with the 6-cycle metric this once gave 12 classes instead of 8
+    m = build_by_restrictions(5)
+    with pytest.raises(ValueError):
+        green_J(m, CycleMetric(6))
+
+
+def test_oracle_builds_its_table_once_per_monoid():
+    m = build_by_restrictions(4)
+    m = FiniteMonoid(m.n, m.elements, m.generators)  # nothing cached yet
+    builds = []
+    rows = m.element_rows
+    m.element_rows = lambda: builds.append(1) or rows()
+    with pytest.raises(ValueError):
+        green_oracle(m, "L", size_bound=len(m) - 1)
+    assert builds == []  # the size bound is checked before any table
+    for rel in ("L", "R", "H", "J", "D"):
+        green_oracle(m, rel)
+    assert len(builds) == 1
 
 
 def test_D_equals_J():
