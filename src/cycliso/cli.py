@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import compress
 
 from .congruence import (
     BudgetExceededError,
@@ -33,7 +34,7 @@ from .congruence import (
     verify_defines,
 )
 from .cycle import CycleMetric
-from .green import green_J, green_LRH, green_oracle
+from .green import check_oracle_size, green_J, green_LRH, green_oracle
 from .monoid import (
     PAIR_SEARCH_BOUND,
     build_by_bruteforce,
@@ -92,8 +93,16 @@ def _emit(obj, out):
 
 def cmd_enumerate(args):
     monoid = BUILDERS[args.method](args.n)
+    # the bytes of json.dumps(a.to_json(), separators=(",", ":")), per element
+    points = range(1, args.n + 1)
     lines = [
-        json.dumps(a.to_json(), separators=(",", ":")) for a in monoid.elements
+        '{"n":%d,"dom":[%s],"img":[%s]}'
+        % (
+            args.n,
+            ",".join(map(str, compress(points, a.row))),
+            ",".join(map(str, filter(None, a.row))),
+        )
+        for a in monoid.elements
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -127,6 +136,8 @@ def cmd_count(args):
 
 
 def cmd_green(args):
+    if args.verify_oracle:
+        check_oracle_size(cardinality_formula(args.n))
     monoid = build_by_restrictions(args.n)
     metric = CycleMetric(args.n)
     if args.relation == "J":

@@ -17,7 +17,7 @@ The two must produce identical partitions; tests enforce that.
 from dataclasses import dataclass
 from itertools import compress
 
-__all__ = ["GreenClasses", "green_LRH", "green_J", "green_oracle"]
+__all__ = ["GreenClasses", "check_oracle_size", "green_LRH", "green_J", "green_oracle"]
 
 ORACLE_SIZE_BOUND = 1024  # |M|; the oracle tabulates all |M|^2 products, so n <= 6
 
@@ -115,6 +115,12 @@ def green_J(m, metric):
     return GreenClasses("J", _group_by(keyed))
 
 
+def check_oracle_size(size, size_bound=ORACLE_SIZE_BOUND):
+    """Raise ValueError if a monoid of this size is above the oracle's bound."""
+    if size > size_bound:
+        raise ValueError(f"|M| = {size} above oracle size bound {size_bound}")
+
+
 def green_oracle(m, relation, size_bound=ORACLE_SIZE_BOUND):
     """Green classes straight from the definitions, via principal ideals.
 
@@ -130,8 +136,7 @@ def green_oracle(m, relation, size_bound=ORACLE_SIZE_BOUND):
     if relation not in ("L", "R", "H", "J", "D"):
         raise ValueError(f"relation must be one of L R H J D, got {relation!r}")
     size = len(m)
-    if size > size_bound:
-        raise ValueError(f"|M| = {size} above oracle size bound {size_bound}")
+    check_oracle_size(size, size_bound)
     prod, left_mask, right_mask = m.principal_ideals()
 
     if relation == "L":

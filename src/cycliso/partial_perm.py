@@ -14,6 +14,8 @@ Conventions used throughout this package:
 {'n': 4, 'dom': [1], 'img': [3]}
 """
 
+from itertools import compress
+
 __all__ = [
     "PartialPerm",
     "idempotent",
@@ -99,7 +101,7 @@ class PartialPerm:
         return y if y else None
 
     def domain(self):
-        return tuple(i for i in range(1, self.n + 1) if self.row[i - 1])
+        return tuple(compress(range(1, self.n + 1), self.row))
 
     def image(self):
         return tuple(sorted(y for y in self.row if y))
@@ -156,13 +158,17 @@ class PartialPerm:
     # -- plumbing ----------------------------------------------------
 
     def sort_key(self):
-        """Canonical order: by rank, then domain, then images along it."""
+        """Canonical order: by rank, then domain, then images along it.
+
+        Rows with the same domain have zeros in the same slots, so they
+        compare exactly as their images along the domain do.
+        """
         dom = self.domain()
-        return (len(dom), dom, tuple(self.row[x - 1] for x in dom))
+        return (len(dom), dom, self.row)
 
     def to_json(self):
-        dom = self.domain()
-        return {"n": self.n, "dom": list(dom), "img": [self.row[x - 1] for x in dom]}
+        dom = list(self.domain())
+        return {"n": self.n, "dom": dom, "img": list(filter(None, self.row))}
 
     def __eq__(self, other):
         return (

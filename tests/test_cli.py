@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from cycliso import build_by_restrictions, build_R, cardinality_formula
-from cycliso.cli import main
+from cycliso import cli
+from cycliso.cli import BUILDERS, main
 
 
 def run(capsys, *argv):
@@ -35,7 +36,7 @@ def test_count_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_enumerate_to_file_and_cache(tmp_path, capsys):
+def test_enumerate_to_file(tmp_path, capsys):
     out = tmp_path / "m3.jsonl"
     code, _, _ = run(capsys, "enumerate", "--n", "3", "--out", str(out))
     assert code == 0
@@ -89,6 +90,17 @@ def test_enumerate_methods_agree(capsys):
     assert by_restriction == by_closure == by_scan
 
 
+@pytest.mark.parametrize("method", ["restrictions", "closure", "bruteforce"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", str(n), "--method", method)
+    assert code == 0
+    m = BUILDERS[method](n)
+    assert out == "".join(
+        json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m
+    )
+
+
 def test_enumerate_bruteforce_bound_is_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--method", "bruteforce")
     assert code == 2
@@ -104,6 +116,17 @@ def test_green_json(capsys):
     assert sum(
         int(size) * count for size, count in obj["class_sizes_histogram"].items()
     ) == cardinality_formula(4)
+
+
+def test_green_oracle_bound_is_checked_before_building(monkeypatch, capsys):
+    def no_build(n):
+        raise AssertionError("built the monoid")
+
+    monkeypatch.setattr(cli, "build_by_restrictions", no_build)
+    argv = ["green", "--n", "7", "--relation", "L", "--verify-oracle"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "oracle size bound" in err
 
 
 def test_green_without_oracle(capsys):

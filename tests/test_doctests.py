@@ -2,6 +2,7 @@ import doctest
 
 import cycliso.cycle
 import cycliso.green
+import cycliso.monoid
 import cycliso.orientation
 import cycliso.partial_perm
 
@@ -11,6 +12,7 @@ def test_module_doctests():
         cycliso.partial_perm,
         cycliso.cycle,
         cycliso.green,
+        cycliso.monoid,
         cycliso.orientation,
     ):
         # verbose defaults to ("-v" in sys.argv), which pytest -v would trip

@@ -85,6 +85,30 @@ def test_canonical_element_order():
     assert m.mul(m.identity, 5) == 5
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_restriction_counts_per_domain_give_the_formula(n):
+    totals = [e.to_partial_perm().row for e in group_elements(n)]
+    counts = {}
+    for mask in range(1 << n):
+        keep = [mask >> i & 1 for i in range(n)]
+        counts[mask] = len({tuple(y * k for y, k in zip(t, keep)) for t in totals})
+    half = n // 2
+    antipodal = (
+        {1 << i | 1 << (i + half) for i in range(half)} if n % 2 == 0 else set()
+    )
+    for mask, count in counts.items():
+        if mask == 0:
+            assert count == 1
+        elif mask & (mask - 1) == 0 or mask in antipodal:
+            assert count == n, bin(mask)
+        else:
+            assert count == 2 * n, bin(mask)
+    total = sum(counts.values())
+    even = 1 - n % 2
+    assert total == 2 * n * 2**n - (2 * n - 1) - n * n - even * n * n // 2
+    assert total == cardinality_formula(n) == len(build_by_restrictions(n))
+
+
 def test_generators_are_elements():
     m = build_by_closure(5)
     assert set(m.generators) == {"g", "h", "e_n"}

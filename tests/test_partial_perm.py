@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycliso import PartialPerm, idempotent
+from cycliso import PartialPerm, build_by_bruteforce, build_by_restrictions, idempotent
 from cycliso.dihedral import DihedralElement
 
 
@@ -136,6 +138,21 @@ def test_sort_key_orders_by_rank_first():
     small = pperm(3, {1: 1})
     big = PartialPerm.identity(3)
     assert empty.sort_key() < small.sort_key() < big.sort_key()
+
+
+def test_sort_key_gives_the_rank_domain_images_order():
+    def images_along_domain(a):
+        dom = a.domain()
+        return (len(dom), dom, tuple(a.row[x - 1] for x in dom))
+
+    shuffled = list(build_by_bruteforce(6).elements)
+    random.Random(4).shuffle(shuffled)
+    assert sorted(shuffled, key=PartialPerm.sort_key) == sorted(
+        shuffled, key=images_along_domain
+    )
+    for n in range(3, 11):
+        keys = [a.sort_key() for a in build_by_restrictions(n)]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), n
 
 
 @given(sized_triples)
