@@ -23,7 +23,7 @@ import argparse
 import csv
 import json
 import sys
-from itertools import compress
+from itertools import compress, islice
 
 from .congruence import (
     BudgetExceededError,
@@ -51,6 +51,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+ENUMERATE_BATCH = 4096  # lines per write in `enumerate`
 
 BUILDERS = {
     "restrictions": build_by_restrictions,
@@ -95,21 +97,23 @@ def cmd_enumerate(args):
     monoid = BUILDERS[args.method](args.n)
     # the bytes of json.dumps(a.to_json(), separators=(",", ":")), per element
     points = range(1, args.n + 1)
-    lines = [
-        '{"n":%d,"dom":[%s],"img":[%s]}'
+    lines = (
+        '{"n":%d,"dom":[%s],"img":[%s]}\n'
         % (
             args.n,
             ",".join(map(str, compress(points, a.row))),
             ",".join(map(str, filter(None, a.row))),
         )
         for a in monoid.elements
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    )
+    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        # in batches: neither the whole text nor one write per line
+        for batch in iter(lambda: "".join(islice(lines, ENUMERATE_BATCH)), ""):
+            fh.write(batch)
+    finally:
+        if args.out:
+            fh.close()
     return EXIT_OK
 
 

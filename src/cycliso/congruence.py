@@ -11,11 +11,25 @@ The table is a partial deterministic automaton over A.  Each live slot
 is a tentative congruence class; pushing relation (u, v) at slot s
 traces both words from s, defining missing edges as brand-new slots,
 and merges the two endpoints.  Merging is processed to a fixed point
-through a queue over a union-find keeping the smaller id as
-representative, so slot 0 (the empty word) can never die.  If the
-sweep completes, the table is a total automaton whose slot count is
-exactly the size of the presented monoid; if the slot budget runs out
-first the enumeration is inconclusive, never wrong.
+over a union-find keeping the smaller id as representative, so slot 0
+(the empty word) can never die.  If the sweep completes, the table is
+a total automaton whose slot count is exactly the size of the
+presented monoid; if the slot budget runs out first the enumeration is
+inconclusive, never wrong.
+
+The sweep visits the live slots in id order and pushes the distinct
+relations at each in a fixed order (u, then v, relation by relation).
+The words are compiled once into a prefix trie and a flat list of ops
+(``sweep_ops``): a step follows one letter from a trie node's slot, and
+a check merges the ends of one relation.  A prefix shared with an
+earlier word is not traced again, which changes nothing: an edge once
+defined stays defined, so the re-trace would define no slot and would
+reach the class of the slot recorded at the prefix's node.  Slots are
+therefore defined in the same order as by tracing each word in full.
+The partition after each merge closure does not depend on the order
+the queue is processed in, and its representatives are the least ids,
+so ``slots_used`` and ``merges`` (= ``slots_used`` minus the size, on a
+closed table) are fixed by the sweep order alone.
 
 Used to machine-check that a presentation defines a given finite
 monoid: the canonical generator assignment makes the monoid a quotient
@@ -23,10 +37,9 @@ of the presented one, so equality of (finite) sizes pins them equal.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
-from .monoid import build_by_restrictions, closure_rows
+from .monoid import cardinality_formula
 from .presentations import (
     aligned_images,
     build_Q,
@@ -55,14 +68,15 @@ DEFAULT_BUDGET_FACTOR = 64  # max slots per target element, when a target is kno
 class BudgetExceededError(RuntimeError):
     """The slot budget ran out before the table closed: inconclusive."""
 
-    def __init__(self, max_slots, slots_used, merges):
+    def __init__(self, max_slots, slots_used, merges, swept):
         super().__init__(
             f"inconclusive (budget): {slots_used} slots created, "
-            f"budget {max_slots}, {merges} merges"
+            f"budget {max_slots}, {merges} merges, {swept} slots swept"
         )
         self.max_slots = max_slots
         self.slots_used = slots_used
         self.merges = merges
+        self.swept = swept
 
 
 @dataclass(frozen=True)
@@ -97,6 +111,36 @@ class CongruenceTable:
         return cur
 
 
+def sweep_ops(relations):
+    """The ops that push every relation at one slot, over a prefix trie.
+
+    Node 0 of the trie is the empty word.  Walking u, then v, for each
+    relation in order emits ``(node, from_node, letter)`` for every new
+    node, and ``(-1, end_u, end_v)`` after each relation.  Returns the
+    ops and the number of nodes.
+
+    >>> sweep_ops([((0, 0, 0), ())])
+    ([(1, 0, 0), (2, 1, 0), (3, 2, 0), (-1, 3, 0)], 4)
+    >>> sweep_ops([((0, 1), (1,)), ((0, 0), (0, 1))])[0]
+    [(1, 0, 0), (2, 1, 1), (3, 0, 1), (-1, 2, 3), (4, 1, 0), (-1, 4, 2)]
+    """
+    child = {}
+    ops = []
+    for u, v in relations:
+        ends = []
+        for word in (u, v):
+            node = 0
+            for a in word:
+                nxt = child.get((node, a))
+                if nxt is None:
+                    nxt = child[node, a] = len(child) + 1
+                    ops.append((nxt, node, a))
+                node = nxt
+            ends.append(node)
+        ops.append((-1, *ends))
+    return ops, len(child) + 1
+
+
 def enumerate_quotient(presentation, max_slots):
     """Enumerate the monoid the presentation defines; see module notes.
 
@@ -111,12 +155,13 @@ def enumerate_quotient(presentation, max_slots):
         raise ValueError(f"slot budget must be positive, got {max_slots!r}")
     # Duplicate relation pairs impose nothing new; skipping them keeps
     # the sweep linear in the number of distinct relations.
-    relations = list(dict.fromkeys(presentation.relations))
+    ops, nodes = sweep_ops(dict.fromkeys(presentation.relations))
 
-    tab = [-1] * width
+    blank = [-1] * width
+    tab = blank[:]
     parent = [0]
     merges = 0
-    pending = deque()
+    at = [0] * nodes  # at[node]: a slot in the class of (word of s)(node's word)
 
     def find(x):
         while parent[x] != x:
@@ -124,85 +169,91 @@ def enumerate_quotient(presentation, max_slots):
             x = parent[x]
         return x
 
-    def merge(a, b):
-        nonlocal merges
-        pending.append((a, b))
-        while pending:
-            x, y = pending.popleft()
-            x = find(x)
-            y = find(y)
-            if x == y:
-                continue
-            if y < x:
-                x, y = y, x
-            parent[y] = x
-            merges += 1
-            bx = x * width
-            by = y * width
-            for k in range(width):
-                t = tab[by + k]
-                if t != -1:
-                    u = tab[bx + k]
-                    if u == -1:
-                        tab[bx + k] = t
-                    else:
-                        pending.append((u, t))
-
-    def define():
-        s = len(parent)
-        if s >= max_slots:
-            raise BudgetExceededError(max_slots, s, merges)
-        parent.append(s)
-        tab.extend([-1] * width)
-        return s
-
-    def trace_defining(start, word):
-        cur = start
-        for a in word:
-            k = cur * width + a
-            t = tab[k]
-            if t == -1:
-                t = define()
-            else:
-                t = find(t)
-            tab[k] = t
-            cur = t
-        return cur
+    def define():  # a new slot, with no edges yet
+        t = len(parent)
+        if t >= max_slots:
+            raise BudgetExceededError(max_slots, t, merges, s)
+        parent.append(t)
+        tab.extend(blank)
+        return t
 
     s = 0
     while s < len(parent):
         if parent[s] != s:
             s += 1
             continue
-        for u, v in relations:
-            x = trace_defining(s, u)
-            y = trace_defining(s, v)
-            if x != y:
-                merge(x, y)
+        at[0] = s
+        for node, src, a in ops:
+            if node >= 0:
+                # step: follow letter a from the class of at[src],
+                # defining the edge as a new slot if it is missing
+                cur = at[src]
+                if parent[cur] != cur:
+                    cur = find(cur)
+                k = cur * width + a
+                t = tab[k]
+                if t == -1:
+                    t = tab[k] = define()
+                elif parent[t] != t:
+                    t = tab[k] = find(t)
+                at[node] = t
+                continue
+            # check: the relation's two ends must be one class
+            x = at[src]
+            if parent[x] != x:
+                x = find(x)
+            y = at[a]
+            if parent[y] != y:
+                y = find(y)
+            if x == y:
+                continue
+            pending = [x, y]
+            while pending:
+                y = pending.pop()
+                if parent[y] != y:
+                    y = find(y)
+                x = pending.pop()
+                if parent[x] != x:
+                    x = find(x)
+                if x == y:
+                    continue
+                if y < x:
+                    x, y = y, x
+                parent[y] = x
+                merges += 1
+                by = y * width
+                for k, t in enumerate(tab[by:by + width], x * width):
+                    if t != -1:
+                        u = tab[k]
+                        if u == -1:
+                            tab[k] = t
+                        else:
+                            pending += (u, t)
             if parent[s] != s:
                 # s was absorbed by a smaller slot, which was already
                 # swept in full while live; nothing left to do here.
                 break
         if parent[s] == s:
             base = s * width
-            for k in range(width):
-                if tab[base + k] == -1:
-                    tab[base + k] = define()
+            for k in range(base, base + width):
+                if tab[k] == -1:
+                    tab[k] = define()
         s += 1
 
     live = [i for i in range(len(parent)) if parent[i] == i]
     number = {old: new for new, old in enumerate(live)}
-    edges = []
-    for old in live:
-        base = old * width
-        for k in range(width):
-            t = tab[base + k]
-            assert t != -1, "live slot with an undefined edge after closure"
-            edges.append(number[find(t)])
+
+    def renumbered():
+        for old in live:
+            for t in tab[old * width : (old + 1) * width]:
+                assert t != -1, "live slot with an undefined edge after closure"
+                yield number[find(t)]
+
     return CongruenceTable(
         alphabet=presentation.alphabet,
         size=len(live),
-        edges=tuple(edges),
+        # from a generator: no list of the edges is held next to the tuple
+        edges=tuple(renumbered()),
         slots_used=len(parent),
         merges=merges,
     )
@@ -215,6 +266,31 @@ def check_consequence(table, lhs, rhs):
     slot iff the congruence identifies them.
     """
     return table.trace(lhs) == table.trace(rhs)
+
+
+def class_rows(table, images):
+    """One product of the images for each class reached from class 0.
+
+    Breadth-first over the table from class 0, the empty word, whose
+    row is the identity: each newly reached class gets the row of the
+    class it was reached from times the image of the letter.  Every row
+    is a product of the images whatever the table says, so rows that
+    are |M| distinct elements of M prove that the images generate M.
+    """
+    padded = [(0,) + a.row for a in images]
+    width = table.width
+    edges = table.edges
+    rows = {0: tuple(range(1, images[0].n + 1))}
+    order = [0]
+    for c in order:
+        row = rows[c]
+        base = c * width
+        for a, image in enumerate(padded):
+            d = edges[base + a]
+            if d not in rows:
+                rows[d] = tuple(map(image.__getitem__, row))
+                order.append(d)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -281,7 +357,7 @@ def verify_defines(presentation, monoid, images=None, max_slots=None):
     if table.size == target:
         # Run after the enumeration so that its memory does not add to
         # the enumeration's peak.
-        if len(closure_rows(monoid.n, [a.row for a in images])) != target:
+        if len(set(class_rows(table, images).values())) != target:
             raise ValueError("the images do not generate the monoid")
         verdict = "defines"
     else:
@@ -323,7 +399,7 @@ def check_tietze_bridge(n, r_table=None, q_table=None, max_slots=None):
     defining the same monoid.
     """
     if max_slots is None:
-        max_slots = DEFAULT_BUDGET_FACTOR * len(build_by_restrictions(n))
+        max_slots = DEFAULT_BUDGET_FACTOR * cardinality_formula(n)
     pres_r = build_R(n)
     pres_q = build_Q(n)
     if r_table is None:

@@ -101,6 +101,24 @@ def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
     )
 
 
+def test_enumerate_writes_in_batches(monkeypatch):
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(cli, "ENUMERATE_BATCH", 10)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["enumerate", "--n", "4"]) == 0
+    m = build_by_restrictions(4)
+    assert "".join(writes) == "".join(
+        json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m
+    )
+    # 97 lines: nine full batches and one of 7
+    assert [w.count("\n") for w in writes] == [10] * 9 + [7]
+
+
 def test_enumerate_bruteforce_bound_is_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--method", "bruteforce")
     assert code == 2

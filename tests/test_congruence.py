@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from cycliso import (
@@ -15,6 +17,8 @@ from cycliso import (
     evaluate,
     verify_defines,
 )
+from cycliso.congruence import CongruenceTable, class_rows
+from cycliso.monoid import closure_rows
 from conftest import drop_family
 
 
@@ -36,7 +40,11 @@ def test_free_monoid_exhausts_budget():
     with pytest.raises(BudgetExceededError) as info:
         enumerate_quotient(free, 50)
     assert info.value.slots_used == 50
+    # slots 0..48 each defined their successor; slot 49 could not
+    assert info.value.swept == 49
+    assert info.value.merges == 0
     assert "inconclusive" in str(info.value)
+    assert "49 slots swept" in str(info.value)
 
 
 def test_budget_validation():
@@ -179,3 +187,189 @@ def test_tietze_bridge(tables):
 
 def test_tietze_bridge_builds_its_own_tables():
     assert check_tietze_bridge(3).ok
+
+
+def reference_enumerate(presentation, max_slots):
+    """The enumerator as it was before the op-list sweep, kept as a reference.
+
+    Unchanged but for its budget error, which has no sweep position to
+    report.
+    """
+    width = len(presentation.alphabet)
+    if width == 0:
+        raise ValueError("empty alphabet")
+    if max_slots < 1:
+        raise ValueError(f"slot budget must be positive, got {max_slots!r}")
+    # Duplicate relation pairs impose nothing new; skipping them keeps
+    # the sweep linear in the number of distinct relations.
+    relations = list(dict.fromkeys(presentation.relations))
+
+    tab = [-1] * width
+    parent = [0]
+    merges = 0
+    pending = deque()
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def merge(a, b):
+        nonlocal merges
+        pending.append((a, b))
+        while pending:
+            x, y = pending.popleft()
+            x = find(x)
+            y = find(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            merges += 1
+            bx = x * width
+            by = y * width
+            for k in range(width):
+                t = tab[by + k]
+                if t != -1:
+                    u = tab[bx + k]
+                    if u == -1:
+                        tab[bx + k] = t
+                    else:
+                        pending.append((u, t))
+
+    def define():
+        s = len(parent)
+        if s >= max_slots:
+            raise BudgetExceededError(max_slots, s, merges, None)
+        parent.append(s)
+        tab.extend([-1] * width)
+        return s
+
+    def trace_defining(start, word):
+        cur = start
+        for a in word:
+            k = cur * width + a
+            t = tab[k]
+            if t == -1:
+                t = define()
+            else:
+                t = find(t)
+            tab[k] = t
+            cur = t
+        return cur
+
+    s = 0
+    while s < len(parent):
+        if parent[s] != s:
+            s += 1
+            continue
+        for u, v in relations:
+            x = trace_defining(s, u)
+            y = trace_defining(s, v)
+            if x != y:
+                merge(x, y)
+            if parent[s] != s:
+                # s was absorbed by a smaller slot, which was already
+                # swept in full while live; nothing left to do here.
+                break
+        if parent[s] == s:
+            base = s * width
+            for k in range(width):
+                if tab[base + k] == -1:
+                    tab[base + k] = define()
+        s += 1
+
+    live = [i for i in range(len(parent)) if parent[i] == i]
+    number = {old: new for new, old in enumerate(live)}
+    edges = []
+    for old in live:
+        base = old * width
+        for k in range(width):
+            t = tab[base + k]
+            assert t != -1, "live slot with an undefined edge after closure"
+            edges.append(number[find(t)])
+    return CongruenceTable(
+        alphabet=presentation.alphabet,
+        size=len(live),
+        edges=tuple(edges),
+        slots_used=len(parent),
+        merges=merges,
+    )
+
+
+def outcome(enumerate_fn, presentation, max_slots):
+    """The closed table, or the counters of an inconclusive run."""
+    try:
+        return enumerate_fn(presentation, max_slots)
+    except BudgetExceededError as exc:
+        assert exc.slots_used == max_slots
+        return exc.slots_used, exc.merges
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("which", ["R", "Q"])
+def test_sweep_matches_the_reference_slot_for_slot(which, n):
+    pres = build_R(n) if which == "R" else build_Q(n)
+    size = cardinality_formula(n)
+    for budget in (1, 50, 1000, size, 64 * size):
+        got = outcome(enumerate_quotient, pres, budget)
+        assert got == outcome(reference_enumerate, pres, budget), budget
+        if isinstance(got, CongruenceTable):
+            assert got.merges == got.slots_used - got.size
+
+
+@pytest.mark.parametrize(
+    "which, n, slots_used, merges",
+    [
+        ("R", 6, 7122, 6419),
+        ("Q", 6, 8394, 7691),
+        ("R", 8, 51535, 47550),
+        ("Q", 8, 65200, 61215),
+    ],
+)
+def test_sweep_counters(tables, which, n, slots_used, merges):
+    t = tables(which, n)
+    assert (t.slots_used, t.merges) == (slots_used, merges)
+    assert t.size == cardinality_formula(n)
+
+
+@pytest.mark.parametrize(
+    "presentation, budget, swept, merges",
+    [
+        # tracing g^3 from slot 0 needs slots 1, 2 and 3
+        (cyclic_group_presentation(3), 3, 0, 0),
+        (build_R(4), 200, 7, 114),
+    ],
+    ids=["C3", "R4"],
+)
+def test_budget_error_reports_how_far_the_sweep_got(presentation, budget, swept, merges):
+    with pytest.raises(BudgetExceededError) as info:
+        enumerate_quotient(presentation, budget)
+    exc = info.value
+    assert (exc.slots_used, exc.merges, exc.swept) == (budget, merges, swept)
+    assert f"{swept} slots swept" in str(exc)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("which", ["R", "Q"])
+def test_class_rows_agree_with_the_closure(tables, which, n):
+    pres = build_R(n) if which == "R" else build_Q(n)
+    images = canonical_images(pres)
+    rows = set(class_rows(tables(which, n), images).values())
+    closure = closure_rows(n, [a.row for a in images])
+    assert rows == set(closure)
+    assert len(rows) == len(closure) == cardinality_formula(n)
+
+
+def test_class_rows_of_images_that_do_not_generate(tables):
+    table = tables("Q", 4)
+    images = (PartialPerm.identity(4),) * 3
+    rows = set(class_rows(table, images).values())
+    assert rows == set(closure_rows(4, [a.row for a in images]))
+    assert len(rows) == 1 < table.size
+    # rows come from products, not from the table: a table whose every
+    # edge leads back to class 0 reaches one class and proves nothing
+    stuck = CongruenceTable(table.alphabet, table.size, (0,) * len(table.edges), 0, 0)
+    assert len(class_rows(stuck, canonical_images(build_Q(4)))) == 1

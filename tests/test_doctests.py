@@ -1,5 +1,6 @@
 import doctest
 
+import cycliso.congruence
 import cycliso.cycle
 import cycliso.green
 import cycliso.monoid
@@ -10,6 +11,7 @@ import cycliso.partial_perm
 def test_module_doctests():
     for mod in (
         cycliso.partial_perm,
+        cycliso.congruence,
         cycliso.cycle,
         cycliso.green,
         cycliso.monoid,
