@@ -101,10 +101,10 @@ def cmd_enumerate(args):
         '{"n":%d,"dom":[%s],"img":[%s]}\n'
         % (
             args.n,
-            ",".join(map(str, compress(points, a.row))),
-            ",".join(map(str, filter(None, a.row))),
+            ",".join(map(str, compress(points, row))),
+            ",".join(map(str, filter(None, row))),
         )
-        for a in monoid.elements
+        for row in monoid.rows
     )
     fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -288,9 +288,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", help="write output here instead of stdout")
+    def common(p):
+        p.add_argument("--out", help="write output here instead of stdout")
 
     p = sub.add_parser("enumerate", help="emit all elements as JSON lines")
     p.add_argument("--n", type=_positive_n, required=True)

@@ -98,9 +98,6 @@ class CongruenceTable:
     def width(self):
         return len(self.alphabet)
 
-    def follow(self, slot, letter):
-        return self.edges[slot * self.width + letter]
-
     def trace(self, word, start=0):
         """Class reached from `start` by the word's letters."""
         cur = start

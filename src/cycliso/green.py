@@ -55,13 +55,13 @@ def _group_by(keyed):
 def _domain_masks(m):
     """Each element's domain mask: bit i is set iff point i + 1 is in it."""
     bits = [1 << i for i in range(m.n)]
-    return (sum(compress(bits, row)) for row in m.element_rows())
+    return (sum(compress(bits, row)) for row in m.rows)
 
 
 def _image_masks(m):
     """Each element's image mask: bit y - 1 is set iff point y is in it."""
     bit = (0,) + tuple(1 << i for i in range(m.n))
-    return (sum(map(bit.__getitem__, row)) for row in m.element_rows())
+    return (sum(map(bit.__getitem__, row)) for row in m.rows)
 
 
 def _orbit_keys(n):
@@ -115,13 +115,13 @@ def green_J(m, metric):
     return GreenClasses("J", _group_by(keyed))
 
 
-def check_oracle_size(size, size_bound=ORACLE_SIZE_BOUND):
+def check_oracle_size(size):
     """Raise ValueError if a monoid of this size is above the oracle's bound."""
-    if size > size_bound:
-        raise ValueError(f"|M| = {size} above oracle size bound {size_bound}")
+    if size > ORACLE_SIZE_BOUND:
+        raise ValueError(f"|M| = {size} above oracle size bound {ORACLE_SIZE_BOUND}")
 
 
-def green_oracle(m, relation, size_bound=ORACLE_SIZE_BOUND):
+def green_oracle(m, relation):
     """Green classes straight from the definitions, via principal ideals.
 
     Uses the monoid's |M| x |M| product table, with each left ideal
@@ -136,7 +136,7 @@ def green_oracle(m, relation, size_bound=ORACLE_SIZE_BOUND):
     if relation not in ("L", "R", "H", "J", "D"):
         raise ValueError(f"relation must be one of L R H J D, got {relation!r}")
     size = len(m)
-    check_oracle_size(size, size_bound)
+    check_oracle_size(size)
     prod, left_mask, right_mask = m.principal_ideals()
 
     if relation == "L":

@@ -11,18 +11,20 @@ they can cross-check one another:
 - ``build_by_bruteforce``: filter every injective partial map through the
   distance test (the definition route; exponential, small n only).
 
-The element count obeys a closed formula split by parity, implemented in
-``cardinality_formula``.
+Each route emits dense rows, and a ``FiniteMonoid`` holds them once, as
+one tuple in canonical order; ``PartialPerm`` objects are only views
+built when an element is read.  The element count obeys a closed
+formula split by parity, implemented in ``cardinality_formula``.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from operator import itemgetter, mul
+from itertools import combinations, islice, permutations
+from operator import eq, itemgetter, mul
 
-from .cycle import CycleMetric
 from .dihedral import DihedralElement, group_elements
-from .partial_perm import PartialPerm, idempotent
+from .partial_perm import PartialPerm, canonical_key, check_row, idempotent
 
 __all__ = [
     "FiniteMonoid",
@@ -51,66 +53,57 @@ def _check_n(n):
 class FiniteMonoid:
     """A finite monoid of partial permutations, closed under composition.
 
-    Elements are kept in canonical order (rank, then domain, then image
-    row), so equal monoids list their elements identically no matter how
-    they were built.
+    The elements are held once, as ``rows``: a tuple of dense rows in
+    canonical order (rank, then domain, then image row), so equal
+    monoids list their elements identically no matter how they were
+    built.  Indexing and iteration hand out ``PartialPerm`` views built
+    on access; membership is a binary search.
     """
 
-    def __init__(self, n, elements, generators):
+    def __init__(self, n, rows, generators):
         self.n = n
-        elems = sorted(elements, key=PartialPerm.sort_key)
-        self.elements = tuple(elems)
-        self.index = {a: i for i, a in enumerate(elems)}
-        if len(self.index) != len(elems):
+        self.rows = tuple(sorted(map(tuple, rows), key=canonical_key))
+        for row in self.rows:
+            check_row(n, row)
+        if any(map(eq, self.rows, islice(self.rows, 1, None))):
             raise ValueError("duplicate elements")
-        for a in elems:
-            if a.n != n:
-                raise ValueError(f"element on {a.n} points in a monoid on {n}")
-        try:
-            self.identity = self.index[PartialPerm.identity(n)]
-        except KeyError:
-            raise ValueError("identity map missing") from None
+        if PartialPerm.identity(n) not in self:
+            raise ValueError("identity map missing")
         self.generators = dict(generators)
         for name, a in self.generators.items():
-            if a not in self.index:
+            if a not in self:
                 raise ValueError(f"generator {name} is not an element")
-        self._rows = None
         self._ideals = None
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.rows)
 
     def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, a):
-        return a in self.index
+        n = self.n
+        return (PartialPerm(n, row) for row in self.rows)
 
     def __getitem__(self, i):
-        return self.elements[i]
+        return PartialPerm(self.n, self.rows[i])
 
-    def index_of(self, a):
-        return self.index[a]
+    @property
+    def elements(self):
+        return tuple(self)
 
-    def mul(self, i, j):
-        """Ordinal of elements[i] * elements[j]; KeyError if not closed."""
-        return self.index[self.elements[i] * self.elements[j]]
-
-    def element_rows(self):
-        """Dense rows of all elements, cached; for bulk index arithmetic."""
-        if self._rows is None:
-            self._rows = tuple(a.row for a in self.elements)
-        return self._rows
+    def __contains__(self, a):
+        if not isinstance(a, PartialPerm) or a.n != self.n:
+            return False
+        i = bisect_left(self.rows, a.sort_key(), key=canonical_key)
+        return i < len(self.rows) and self.rows[i] == a.row
 
     def principal_ideals(self):
         """(prod, left, right), cached: prod[i][j] is the ordinal of
-        elements[i] * elements[j], left[j] the bitmask of the left ideal
-        M·elements[j] and right[i] that of elements[i]·M.
+        self[i] * self[j], left[j] the bitmask of the left ideal
+        M·self[j] and right[i] that of self[i]·M.
 
         Tabulates all |M|^2 products, so callers bound |M| first.
         """
         if self._ideals is None:
-            rows = self.element_rows()
+            rows = self.rows
             index = {row: i for i, row in enumerate(rows)}
             # a * b has row b[a[x]]; a leading 0 sends undefined points to 0
             padded = [(0,) + row for row in rows]
@@ -123,12 +116,6 @@ class FiniteMonoid:
             left = [sum(map(bit.__getitem__, set(col))) for col in zip(*prod)]
             self._ideals = (prod, left, right)
         return self._ideals
-
-    def units(self):
-        """The group of total elements, as a monoid on the same points."""
-        total = [a for a in self.elements if a.is_total]
-        gens = {k: v for k, v in standard_generators(self.n).items() if k != "e_n"}
-        return FiniteMonoid(self.n, total, gens)
 
 
 def standard_generators(n):
@@ -180,15 +167,14 @@ def build_by_restrictions(n):
     """
     _check_n(n)
     totals = [e.to_partial_perm().row for e in group_elements(n)]
-    elements = []
+    rows = []
     for k in range(n + 1):
         for dom in combinations(range(n), k):
             selector = [0] * n
             for i in dom:
                 selector[i] = 1
-            rows = {tuple(map(mul, total, selector)) for total in totals}
-            elements.extend(PartialPerm(n, row) for row in sorted(rows))
-    return FiniteMonoid(n, elements, standard_generators(n))
+            rows.extend(sorted({tuple(map(mul, total, selector)) for total in totals}))
+    return FiniteMonoid(n, rows, standard_generators(n))
 
 
 @lru_cache(maxsize=None)
@@ -196,27 +182,26 @@ def build_by_closure(n):
     """Closure of {g, h, e_n} under composition."""
     _check_n(n)
     gens = standard_generators(n)
-    elements = monoid_closure(n, gens.values())
-    return FiniteMonoid(n, elements, gens)
+    return FiniteMonoid(n, closure_rows(n, [a.row for a in gens.values()]), gens)
 
 
 @lru_cache(maxsize=None)
-def build_by_bruteforce(n, bound=BRUTEFORCE_BOUND):
+def build_by_bruteforce(n):
     """All injective partial maps that pass the distance test, by scan.
 
     Exists purely as an oracle for the other builders, so it refuses to
-    run above `bound` rather than grind.
+    run above BRUTEFORCE_BOUND rather than grind.
     """
     _check_n(n)
-    if n > bound:
-        raise ValueError(f"n={n} above configured bruteforce bound {bound}")
+    if n > BRUTEFORCE_BOUND:
+        raise ValueError(f"n={n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
     half = [[0] * (n + 1) for _ in range(n + 1)]
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             k = abs(x - y)
             half[x][y] = min(k, n - k)
     points = range(1, n + 1)
-    elements = [PartialPerm.empty(n)]
+    rows = [(0,) * n]
     for k in range(1, n + 1):
         for dom in combinations(points, k):
             for img in permutations(points, k):
@@ -231,8 +216,11 @@ def build_by_bruteforce(n, bound=BRUTEFORCE_BOUND):
                     if not ok:
                         break
                 if ok:
-                    elements.append(PartialPerm.from_pairs(n, zip(dom, img)))
-    return FiniteMonoid(n, elements, standard_generators(n))
+                    row = [0] * n
+                    for x, y in zip(dom, img):
+                        row[x - 1] = y
+                    rows.append(tuple(row))
+    return FiniteMonoid(n, rows, standard_generators(n))
 
 
 def cardinality_formula(n):
@@ -264,7 +252,9 @@ def b2_set(n):
 
 
 def units(m):
-    return m.units()
+    """The group of total elements, as a monoid on the same points."""
+    gens = {k: v for k, v in standard_generators(m.n).items() if k != "e_n"}
+    return FiniteMonoid(m.n, filter(all, m.rows), gens)
 
 
 @dataclass(frozen=True)
@@ -291,22 +281,22 @@ class RankReport:
         )
 
 
-def rank_search(m, exhaustive_pairs=False, pair_bound=PAIR_SEARCH_BOUND):
+def rank_search(m, exhaustive_pairs=False):
     """Confirm {g, h, e_n} generates m and (optionally) that no 1- or
     2-element subset does.
 
-    The pair scan is quadratic in |m| and so is gated on n <= pair_bound;
-    above that the report simply records that the scan did not run.
+    The pair scan is quadratic in |m| and so is gated on
+    n <= PAIR_SEARCH_BOUND; above that the report simply records that
+    the scan did not run.
     """
     n = m.n
     size = len(m)
-    triple = monoid_closure(n, m.generators.values())
-    triple_ok = len(triple) == size and all(a in m for a in triple)
+    rows = m.rows
+    triple = closure_rows(n, [a.row for a in m.generators.values()])
+    triple_ok = len(triple) == size and set(triple) == set(rows)
 
-    if not exhaustive_pairs or n > pair_bound:
+    if not exhaustive_pairs or n > PAIR_SEARCH_BOUND:
         return RankReport(n, size, triple_ok, None, None, (), ())
-
-    rows = m.element_rows()
 
     def generates(*seeds):
         return len(closure_rows(n, seeds)) >= size

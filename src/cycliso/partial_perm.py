@@ -14,12 +14,46 @@ Conventions used throughout this package:
 {'n': 4, 'dom': [1], 'img': [3]}
 """
 
-from itertools import compress
+from itertools import compress, count
 
 __all__ = [
     "PartialPerm",
+    "canonical_key",
+    "check_row",
     "idempotent",
 ]
+
+
+def check_row(n, row):
+    """Raise ValueError unless ``row`` is an injective partial map of
+    {1, ..., n}: n slots, each 0 or an image in 1..n, no image twice."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if len(row) != n:
+        raise ValueError(f"row has {len(row)} slots, expected {n}")
+    seen = 0
+    for y in row:
+        if y == 0:
+            continue
+        if not 1 <= y <= n:
+            raise ValueError(f"image {y!r} outside 1..{n}")
+        bit = 1 << y
+        if seen & bit:
+            raise ValueError(f"not injective: image {y} repeated")
+        seen |= bit
+
+
+def canonical_key(row):
+    """Canonical order of rows: by rank, then domain, then images along it.
+
+    Rows with the same domain have zeros in the same slots, so they
+    compare exactly as their images along the domain do.
+
+    >>> sorted([(2, 0, 0), (0, 0, 1), (1, 2, 0), (0, 0, 0)], key=canonical_key)
+    [(0, 0, 0), (2, 0, 0), (0, 0, 1), (1, 2, 0)]
+    """
+    dom = tuple(compress(count(1), row))
+    return (len(dom), dom, row)
 
 
 class PartialPerm:
@@ -33,20 +67,7 @@ class PartialPerm:
 
     def __init__(self, n, row):
         row = tuple(row)
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        if len(row) != n:
-            raise ValueError(f"row has {len(row)} slots, expected {n}")
-        seen = 0
-        for y in row:
-            if y == 0:
-                continue
-            if not 1 <= y <= n:
-                raise ValueError(f"image {y!r} outside 1..{n}")
-            bit = 1 << y
-            if seen & bit:
-                raise ValueError(f"not injective: image {y} repeated")
-            seen |= bit
+        check_row(n, row)
         self.n = n
         self.row = row
         self._hash = hash((n, row))
@@ -158,13 +179,8 @@ class PartialPerm:
     # -- plumbing ----------------------------------------------------
 
     def sort_key(self):
-        """Canonical order: by rank, then domain, then images along it.
-
-        Rows with the same domain have zeros in the same slots, so they
-        compare exactly as their images along the domain do.
-        """
-        dom = self.domain()
-        return (len(dom), dom, self.row)
+        """Canonical order; see ``canonical_key``."""
+        return canonical_key(self.row)
 
     def to_json(self):
         dom = list(self.domain())

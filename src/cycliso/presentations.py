@@ -316,7 +316,7 @@ def q_to_r_substitution(n):
     return ((0,), (1,), (1 + n,))
 
 
-def absorption_relation_suites(n, reflection_powers=3, rotation_powers=None):
+def absorption_relation_suites(n):
     """Families of word identities over the wide alphabet in which a
     dihedral prefix is absorbed by a product of removal idempotents.
 
@@ -327,10 +327,9 @@ def absorption_relation_suites(n, reflection_powers=3, rotation_powers=None):
     - "antipodal_pair" (even n only): likewise skipping e_j and
       e_(j+n/2), for 1 <= j <= n/2.
     - "empty_map": h^l g^m times the full product e_1..e_n equals the
-      full product, sampled over l < reflection_powers and
-      m < rotation_powers (default 2n); the full family is infinite,
-      and this truncation already covers both reflection parities and
-      two whole turns of rotation.
+      full product, sampled over l < 3 and m < 2n; the full family is
+      infinite, and this truncation already covers both reflection
+      parities and two whole turns of rotation.
     """
     _check_n(n)
     G, H = 0, 1
@@ -355,12 +354,10 @@ def absorption_relation_suites(n, reflection_powers=3, rotation_powers=None):
             suite.append((f"j={j}", (H,) + (G,) * (2 * j - 1) + tail, tail))
         suites["antipodal_pair"] = suite
 
-    if rotation_powers is None:
-        rotation_powers = 2 * n
     suite = []
     full = e_product()
-    for l in range(reflection_powers):
-        for m in range(rotation_powers):
+    for l in range(3):
+        for m in range(2 * n):
             suite.append((f"l={l},m={m}", (H,) * l + (G,) * m + full, full))
     suites["empty_map"] = suite
     return suites

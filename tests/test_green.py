@@ -17,7 +17,7 @@ from cycliso import (
 
 
 def class_of(classes, m, a):
-    i = m.index_of(a)
+    i = m.rows.index(a.row)
     for c in classes.classes:
         if i in c:
             return c
@@ -48,7 +48,7 @@ def test_units_are_one_H_class():
     m = build_by_restrictions(4)
     H = green_LRH(m, "H")
     u = units(m)
-    ordinals = sorted(m.index_of(a) for a in u)
+    ordinals = sorted(m.rows.index(a.row) for a in u)
     assert tuple(ordinals) in H.classes
 
 
@@ -77,7 +77,7 @@ def test_rank_two_J_class_count_is_floor_half():
         m = build_by_restrictions(n)
         J = green_J(m, CycleMetric(n))
         rank2 = [
-            c for c in J.classes if m.elements[c[0]].rank == 2
+            c for c in J.classes if m[c[0]].rank == 2
         ]
         assert len(rank2) == n // 2
 
@@ -165,17 +165,23 @@ def test_J_rejects_metric_of_another_cycle():
 
 
 def test_oracle_builds_its_table_once_per_monoid():
-    m = build_by_restrictions(4)
-    m = FiniteMonoid(m.n, m.elements, m.generators)  # nothing cached yet
     builds = []
-    rows = m.element_rows
-    m.element_rows = lambda: builds.append(1) or rows()
+
+    def fresh(n):
+        m = build_by_restrictions(n)
+        m = FiniteMonoid(m.n, m.rows, m.generators)  # nothing cached yet
+        ideals = m.principal_ideals
+        m.principal_ideals = lambda: builds.append(m._ideals is None) or ideals()
+        return m
+
+    big = fresh(7)  # |M| = 1730, above the oracle's bound of 1024
     with pytest.raises(ValueError):
-        green_oracle(m, "L", size_bound=len(m) - 1)
+        green_oracle(big, "L")
     assert builds == []  # the size bound is checked before any table
+    m = fresh(4)
     for rel in ("L", "R", "H", "J", "D"):
         green_oracle(m, rel)
-    assert len(builds) == 1
+    assert builds.count(True) == 1
 
 
 def test_D_equals_J():
@@ -216,6 +222,6 @@ def test_oracle_validation():
     with pytest.raises(ValueError):
         green_oracle(m, "X")
     with pytest.raises(ValueError):
-        green_oracle(m, "L", size_bound=10)
+        green_oracle(build_by_restrictions(7), "L")  # |M| = 1730 > 1024
     with pytest.raises(ValueError):
         green_LRH(m, "J")  # J needs the metric route

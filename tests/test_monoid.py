@@ -1,7 +1,10 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from cycliso import (
     CycleMetric,
+    FiniteMonoid,
     PartialPerm,
     b2_set,
     build_by_bruteforce,
@@ -62,7 +65,7 @@ def test_builders_agree():
 def test_monoid_is_closed_and_inverse_closed():
     for n in range(3, 7):
         m = build_by_restrictions(n)
-        rows = set(m.element_rows())
+        rows = set(m.rows)
         for a in m:
             assert a.inverse().row in rows
             for b in m:
@@ -81,8 +84,7 @@ def test_canonical_element_order():
     keys = [a.sort_key() for a in m]
     assert keys == sorted(keys)
     assert m.elements[0] == PartialPerm.empty(4)
-    assert m.index_of(PartialPerm.identity(4)) == m.identity
-    assert m.mul(m.identity, 5) == 5
+    assert PartialPerm.identity(4) in m
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -192,11 +194,44 @@ def test_removal_idempotents_conjugate_around_the_cycle():
             assert w * e_n * w == idempotent(n, j), (n, j)
 
 
-def test_identity_must_be_present():
-    from cycliso import FiniteMonoid
-
+@pytest.mark.parametrize(
+    "rows, generators",
+    [
+        pytest.param([(1, 2, 3), (1, 1, 0)], {}, id="repeated-image"),
+        pytest.param([(1, 2, 3), (4, 2, 3)], {}, id="image-above-n"),
+        pytest.param([(1, 2, 3), (1, 2)], {}, id="short-row"),
+        pytest.param([(1, 2, 3), (0, 0, 0), (0, 0, 0)], {}, id="duplicate-row"),
+        pytest.param([(0, 0, 0)], {}, id="missing-identity"),
+        pytest.param([(1, 2, 3)], {"e": idempotent(3, 3)}, id="generator-not-a-member"),
+    ],
+)
+def test_identity_must_be_present(rows, generators):
     with pytest.raises(ValueError):
-        FiniteMonoid(3, [PartialPerm.empty(3)], {})
+        FiniteMonoid(3, rows, generators)
+
+
+@pytest.mark.parametrize("n, maps", [(4, 209), (5, 1546)])
+def test_membership_is_exactly_the_distance_test(n, maps):
+    m = build_by_restrictions(n)
+    metric = CycleMetric(n)
+    points = range(1, n + 1)
+    every = [
+        PartialPerm.from_pairs(n, zip(dom, img))
+        for k in range(n + 1)
+        for dom in combinations(points, k)
+        for img in permutations(points, k)
+    ]
+    assert len(every) == maps
+    for a in every:
+        assert (a in m) == metric.is_partial_isometry(a), a
+    assert PartialPerm.identity(n + 1) not in m
+    assert PartialPerm.empty(n + 1) not in m
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_rows_are_held_in_canonical_order_whatever_the_input_order(n):
+    m = build_by_closure(n)
+    assert FiniteMonoid(n, reversed(m.rows), m.generators).rows == m.rows
 
 
 def test_rank_search_small():
@@ -220,7 +255,7 @@ def test_rank_search_respects_pair_bound():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_structural_rank_bound_agrees_with_the_pair_scan(n):
     m = build_by_restrictions(n)
-    rows = m.element_rows()
+    rows = m.rows
     # A product is total only if both factors are, so the units in a
     # generating set must generate the unit group D_n on their own.
     for ra in rows:
