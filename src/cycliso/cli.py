@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from itertools import compress, islice
 
 from .congruence import (
@@ -84,13 +85,19 @@ def _n_range(text):
     return range(a, b + 1)
 
 
-def _emit(obj, out):
-    text = json.dumps(obj, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+@contextmanager
+def _output(path):
+    """The file at ``path``, opened for text and closed after, or stdout."""
+    if path:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(obj, out):
+    with _output(out) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_enumerate(args):
@@ -106,14 +113,10 @@ def cmd_enumerate(args):
         )
         for row in monoid.rows
     )
-    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as fh:
         # in batches: neither the whole text nor one write per line
         for batch in iter(lambda: "".join(islice(lines, ENUMERATE_BATCH)), ""):
             fh.write(batch)
-    finally:
-        if args.out:
-            fh.close()
     return EXIT_OK
 
 
@@ -126,14 +129,10 @@ def cmd_count(args):
         ok = enumerated == formula
         mismatch = mismatch or not ok
         rows.append((n, enumerated, formula, "true" if ok else "false"))
-    fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "enumerated", "formula", "match"])
         writer.writerows(rows)
-    finally:
-        if args.out:
-            fh.close()
     if args.check_formula and mismatch:
         return EXIT_FAIL
     return EXIT_OK
@@ -238,11 +237,7 @@ def cmd_present_verify(args):
 def cmd_lemmas(args):
     presentation = build_R(args.n)
     budget = DEFAULT_BUDGET_FACTOR * cardinality_formula(args.n)
-    try:
-        table = enumerate_quotient(presentation, budget)
-    except BudgetExceededError as exc:
-        _emit({"n": args.n, "verdict": "inconclusive", "detail": str(exc)}, args.out)
-        return EXIT_INCONCLUSIVE
+    table = enumerate_quotient(presentation, budget)
     suites = {}
     all_pass = True
     for name, instances in absorption_relation_suites(args.n).items():
@@ -257,11 +252,7 @@ def cmd_lemmas(args):
 
 
 def cmd_tietze(args):
-    try:
-        report = check_tietze_bridge(args.n, max_slots=args.max_slots)
-    except BudgetExceededError as exc:
-        _emit({"n": args.n, "verdict": "inconclusive", "detail": str(exc)}, args.out)
-        return EXIT_INCONCLUSIVE
+    report = check_tietze_bridge(args.n, max_slots=args.max_slots)
     _emit(
         {
             "n": args.n,
@@ -349,6 +340,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExceededError as exc:
+        _emit({"n": args.n, "verdict": "inconclusive", "detail": str(exc)}, args.out)
+        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

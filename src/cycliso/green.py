@@ -16,6 +16,7 @@ The two must produce identical partitions; tests enforce that.
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 
 __all__ = ["GreenClasses", "check_oracle_size", "green_LRH", "green_J", "green_oracle"]
 
@@ -121,10 +122,31 @@ def check_oracle_size(size):
         raise ValueError(f"|M| = {size} above oracle size bound {ORACLE_SIZE_BOUND}")
 
 
+def _principal_ideals(m):
+    """(prod, left, right): prod[i][j] is the ordinal of m[i] * m[j],
+    left[j] the bitmask of the left ideal M·m[j] and right[i] that of
+    m[i]·M.
+
+    Tabulates all |M|^2 products on every call, so callers bound |M| first.
+    """
+    rows = m.rows
+    index = {row: i for i, row in enumerate(rows)}
+    # a * b has row b[a[x]]; a leading 0 sends undefined points to 0
+    padded = [(0,) + row for row in rows]
+    prod = [
+        list(map(index.__getitem__, map(itemgetter(*a), padded)))
+        for a in rows
+    ]
+    bit = [1 << k for k in range(len(rows))]
+    right = [sum(map(bit.__getitem__, set(line))) for line in prod]
+    left = [sum(map(bit.__getitem__, set(col))) for col in zip(*prod)]
+    return prod, left, right
+
+
 def green_oracle(m, relation):
     """Green classes straight from the definitions, via principal ideals.
 
-    Uses the monoid's |M| x |M| product table, with each left ideal
+    Tabulates the |M| x |M| product table, with each left ideal
     M a and right ideal a M as a bitmask, and reads off:
 
         a L b  iff  M a = M b        a R b  iff  a M = b M
@@ -137,7 +159,7 @@ def green_oracle(m, relation):
         raise ValueError(f"relation must be one of L R H J D, got {relation!r}")
     size = len(m)
     check_oracle_size(size)
-    prod, left_mask, right_mask = m.principal_ideals()
+    prod, left_mask, right_mask = _principal_ideals(m)
 
     if relation == "L":
         keyed = [(left_mask[i], i) for i in range(size)]

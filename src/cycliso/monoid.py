@@ -19,9 +19,8 @@ formula split by parity, implemented in ``cardinality_formula``.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, islice, permutations
-from operator import eq, itemgetter, mul
+from operator import eq, mul
 
 from .dihedral import DihedralElement, group_elements
 from .partial_perm import PartialPerm, canonical_key, check_row, idempotent
@@ -57,7 +56,8 @@ class FiniteMonoid:
     canonical order (rank, then domain, then image row), so equal
     monoids list their elements identically no matter how they were
     built.  Indexing and iteration hand out ``PartialPerm`` views built
-    on access; membership is a binary search.
+    on access; membership is a binary search.  An instance holds only
+    ``n``, ``rows`` and ``generators`` and caches nothing.
     """
 
     def __init__(self, n, rows, generators):
@@ -73,7 +73,6 @@ class FiniteMonoid:
         for name, a in self.generators.items():
             if a not in self:
                 raise ValueError(f"generator {name} is not an element")
-        self._ideals = None
 
     def __len__(self):
         return len(self.rows)
@@ -94,28 +93,6 @@ class FiniteMonoid:
             return False
         i = bisect_left(self.rows, a.sort_key(), key=canonical_key)
         return i < len(self.rows) and self.rows[i] == a.row
-
-    def principal_ideals(self):
-        """(prod, left, right), cached: prod[i][j] is the ordinal of
-        self[i] * self[j], left[j] the bitmask of the left ideal
-        M·self[j] and right[i] that of self[i]·M.
-
-        Tabulates all |M|^2 products, so callers bound |M| first.
-        """
-        if self._ideals is None:
-            rows = self.rows
-            index = {row: i for i, row in enumerate(rows)}
-            # a * b has row b[a[x]]; a leading 0 sends undefined points to 0
-            padded = [(0,) + row for row in rows]
-            prod = [
-                list(map(index.__getitem__, map(itemgetter(*a), padded)))
-                for a in rows
-            ]
-            bit = [1 << k for k in range(len(rows))]
-            right = [sum(map(bit.__getitem__, set(line))) for line in prod]
-            left = [sum(map(bit.__getitem__, set(col))) for col in zip(*prod)]
-            self._ideals = (prod, left, right)
-        return self._ideals
 
 
 def standard_generators(n):
@@ -151,7 +128,6 @@ def monoid_closure(n, gens):
     return [PartialPerm(n, row) for row in closure_rows(n, gen_rows)]
 
 
-@lru_cache(maxsize=None)
 def build_by_restrictions(n):
     """Every restriction of every cycle symmetry; the reference builder.
 
@@ -177,7 +153,6 @@ def build_by_restrictions(n):
     return FiniteMonoid(n, rows, standard_generators(n))
 
 
-@lru_cache(maxsize=None)
 def build_by_closure(n):
     """Closure of {g, h, e_n} under composition."""
     _check_n(n)
@@ -185,7 +160,6 @@ def build_by_closure(n):
     return FiniteMonoid(n, closure_rows(n, [a.row for a in gens.values()]), gens)
 
 
-@lru_cache(maxsize=None)
 def build_by_bruteforce(n):
     """All injective partial maps that pass the distance test, by scan.
 

@@ -63,14 +63,13 @@ class PartialPerm:
     where row[i] == 0 means point i + 1 is outside the domain.
     """
 
-    __slots__ = ("n", "row", "_hash")
+    __slots__ = ("n", "row")
 
     def __init__(self, n, row):
         row = tuple(row)
         check_row(n, row)
         self.n = n
         self.row = row
-        self._hash = hash((n, row))
 
     # -- constructors ------------------------------------------------
 
@@ -194,7 +193,7 @@ class PartialPerm:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.row))
 
     def __repr__(self):
         body = ", ".join(f"{x}:{y}" for x, y in self)

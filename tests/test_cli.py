@@ -222,6 +222,14 @@ def test_tietze(capsys):
     assert obj["q_to_r"]["checked"] == 9
 
 
+def test_tietze_inconclusive_exit_code(capsys):
+    code, out, _ = run(capsys, "tietze", "--n", "3", "--max-slots", "5")
+    assert code == 3
+    obj = json.loads(out)
+    assert set(obj) == {"n", "verdict", "detail"}
+    assert obj["verdict"] == "inconclusive"
+
+
 def test_out_flag_writes_json(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "tietze", "--n", "3", "--out", str(target))

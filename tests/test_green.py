@@ -4,7 +4,6 @@ import pytest
 
 from cycliso import (
     CycleMetric,
-    FiniteMonoid,
     GreenClasses,
     PartialPerm,
     build_by_restrictions,
@@ -14,6 +13,7 @@ from cycliso import (
     group_elements,
     units,
 )
+from cycliso import green
 
 
 def class_of(classes, m, a):
@@ -164,24 +164,18 @@ def test_J_rejects_metric_of_another_cycle():
         green_J(m, CycleMetric(6))
 
 
-def test_oracle_builds_its_table_once_per_monoid():
-    builds = []
-
-    def fresh(n):
-        m = build_by_restrictions(n)
-        m = FiniteMonoid(m.n, m.rows, m.generators)  # nothing cached yet
-        ideals = m.principal_ideals
-        m.principal_ideals = lambda: builds.append(m._ideals is None) or ideals()
-        return m
-
-    big = fresh(7)  # |M| = 1730, above the oracle's bound of 1024
+def test_oracle_checks_its_bound_before_tabulating(monkeypatch):
+    tabulated = []
+    tabulate = green._principal_ideals
+    monkeypatch.setattr(
+        green, "_principal_ideals", lambda m: tabulated.append(len(m)) or tabulate(m)
+    )
+    big = build_by_restrictions(7)  # |M| = 1730, above the oracle's bound of 1024
     with pytest.raises(ValueError):
         green_oracle(big, "L")
-    assert builds == []  # the size bound is checked before any table
-    m = fresh(4)
-    for rel in ("L", "R", "H", "J", "D"):
-        green_oracle(m, rel)
-    assert builds.count(True) == 1
+    assert tabulated == []
+    green_oracle(build_by_restrictions(4), "L")
+    assert tabulated == [97]
 
 
 def test_D_equals_J():

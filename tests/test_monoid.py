@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations, permutations
 
 import pytest
@@ -19,6 +21,7 @@ from cycliso import (
     standard_generators,
     units,
 )
+from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement
 
 # first few values of the closed formula, frozen from an independent
@@ -232,6 +235,18 @@ def test_membership_is_exactly_the_distance_test(n, maps):
 def test_rows_are_held_in_canonical_order_whatever_the_input_order(n):
     m = build_by_closure(n)
     assert FiniteMonoid(n, reversed(m.rows), m.generators).rows == m.rows
+
+
+@pytest.mark.parametrize("method", sorted(BUILDERS))
+def test_builders_keep_no_monoid_alive(method):
+    build = BUILDERS[method]
+    m = build(4)
+    assert build(4) is not m
+    assert set(vars(m)) == {"n", "rows", "generators"}
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
 
 
 def test_rank_search_small():
