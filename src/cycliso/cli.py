@@ -103,13 +103,14 @@ def _emit(obj, out):
 def cmd_enumerate(args):
     monoid = BUILDERS[args.method](args.n)
     # the bytes of json.dumps(a.to_json(), separators=(",", ":")), per element
-    points = range(1, args.n + 1)
+    label = tuple(map(str, range(args.n + 1)))
+    points = label[1:]
     lines = (
         '{"n":%d,"dom":[%s],"img":[%s]}\n'
         % (
             args.n,
-            ",".join(map(str, compress(points, row))),
-            ",".join(map(str, filter(None, row))),
+            ",".join(compress(points, row)),
+            ",".join(map(label.__getitem__, filter(None, row))),
         )
         for row in monoid.rows
     )

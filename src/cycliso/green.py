@@ -16,7 +16,8 @@ The two must produce identical partitions; tests enforce that.
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+
+from .monoid import product_table
 
 __all__ = ["GreenClasses", "check_oracle_size", "green_LRH", "green_J", "green_oracle"]
 
@@ -123,21 +124,13 @@ def check_oracle_size(size):
 
 
 def _principal_ideals(m):
-    """(prod, left, right): prod[i][j] is the ordinal of m[i] * m[j],
-    left[j] the bitmask of the left ideal M·m[j] and right[i] that of
-    m[i]·M.
+    """(prod, left, right): prod is ``monoid.product_table(m)``, left[j]
+    the bitmask of the left ideal M·m[j] and right[i] that of m[i]·M.
 
     Tabulates all |M|^2 products on every call, so callers bound |M| first.
     """
-    rows = m.rows
-    index = {row: i for i, row in enumerate(rows)}
-    # a * b has row b[a[x]]; a leading 0 sends undefined points to 0
-    padded = [(0,) + row for row in rows]
-    prod = [
-        list(map(index.__getitem__, map(itemgetter(*a), padded)))
-        for a in rows
-    ]
-    bit = [1 << k for k in range(len(rows))]
+    prod = product_table(m)
+    bit = [1 << k for k in range(len(prod))]
     right = [sum(map(bit.__getitem__, set(line))) for line in prod]
     left = [sum(map(bit.__getitem__, set(col))) for col in zip(*prod)]
     return prod, left, right

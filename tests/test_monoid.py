@@ -23,6 +23,7 @@ from cycliso import (
 )
 from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement
+from cycliso.monoid import closure_rows, product_table
 
 # first few values of the closed formula, frozen from an independent
 # evaluation of n 2^(n+1) - ((-1)^n + 5)/4 n^2 - 2n + 1
@@ -283,3 +284,53 @@ def test_structural_rank_bound_agrees_with_the_pair_scan(n):
     assert len(group) == 2 * n
     assert all(len(monoid_closure(n, [u])) < 2 * n for u in group)
     assert rank_search(m, exhaustive_pairs=True).minimum_is_three
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_product_table_holds_the_ordinal_of_every_product(n):
+    m = build_by_restrictions(n)
+    prod = product_table(m)
+    assert len(prod) == len(m)
+    for i, a in enumerate(m):
+        assert len(prod[i]) == len(m)
+        for j, b in enumerate(m):
+            assert m.rows[prod[i][j]] == a.compose(b).row
+
+
+def test_product_table_rejects_a_monoid_that_is_not_closed():
+    g = standard_generators(4)["g"]
+    m = FiniteMonoid(4, [PartialPerm.identity(4).row, g.row], {})  # g * g is missing
+    with pytest.raises(ValueError, match="not closed under composition"):
+        product_table(m)
+    # g alone closes to 4 > |m| rows, which a size test would read as generating m
+    with pytest.raises(ValueError, match="not closed under composition"):
+        rank_search(m, exhaustive_pairs=True)
+
+
+def row_closure_pair_scan(m):
+    """The pair scan as it ran on rows: one row closure per candidate."""
+    n, rows, size = m.n, m.rows, len(m)
+
+    def generates(*seeds):
+        return len(closure_rows(n, seeds)) >= size
+
+    singles = tuple(i for i in range(size) if generates(rows[i]))
+    pairs = tuple(
+        (i, j) for i, j in combinations(range(size), 2) if generates(rows[i], rows[j])
+    )
+    return size, size * (size - 1) // 2, singles, pairs
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pair_scan_matches_row_closures(n):
+    m = build_by_restrictions(n)
+    for sub, pair_count in ((m, 0), (units(m), {3: 9, 4: 12, 5: 30}[n])):
+        report = rank_search(sub, exhaustive_pairs=True)
+        got = (
+            report.singles_checked,
+            report.pairs_checked,
+            report.generating_singles,
+            report.generating_pairs,
+        )
+        assert got == row_closure_pair_scan(sub)
+        assert len(report.generating_pairs) == pair_count
