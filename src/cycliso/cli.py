@@ -28,7 +28,6 @@ from itertools import compress, islice
 
 from .congruence import (
     BudgetExceededError,
-    DEFAULT_BUDGET_FACTOR,
     check_consequence,
     check_tietze_bridge,
     enumerate_quotient,
@@ -236,9 +235,7 @@ def cmd_present_verify(args):
 
 
 def cmd_lemmas(args):
-    presentation = build_R(args.n)
-    budget = DEFAULT_BUDGET_FACTOR * cardinality_formula(args.n)
-    table = enumerate_quotient(presentation, budget)
+    table = enumerate_quotient(build_R(args.n))
     suites = {}
     all_pass = True
     for name, instances in absorption_relation_suites(args.n).items():

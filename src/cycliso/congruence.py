@@ -7,14 +7,16 @@ procedure adapted to monoids: no inverses, a single distinguished slot
 for the class of the empty word, and every relation pushed at every
 class (not just at the identity).
 
-The table is a partial deterministic automaton over A.  Each live slot
-is a tentative congruence class; pushing relation (u, v) at slot s
-traces both words from s, defining missing edges as brand-new slots,
-and merges the two endpoints.  Merging is processed to a fixed point
-over a union-find keeping the smaller id as representative, so slot 0
-(the empty word) can never die.  If the sweep completes, the table is
-a total automaton whose slot count is exactly the size of the
-presented monoid; if the slot budget runs out first the enumeration is
+The table is a partial deterministic automaton over A, one row of
+edges per slot.  Each live slot is a tentative congruence class;
+pushing relation (u, v) at slot s traces both words from s, defining
+missing edges as brand-new slots, and merges the two endpoints.
+Merging is processed to a fixed point over a union-find keeping the
+smaller id as representative, so slot 0 (the empty word) can never
+die; a merged slot's edges move into its representative's row and its
+own row is dropped.  If the sweep completes, the table is a total
+automaton whose slot count is exactly the size of the presented
+monoid; if the slot budget runs out first the enumeration is
 inconclusive, never wrong.
 
 The sweep visits the live slots in id order and pushes the distinct
@@ -62,7 +64,7 @@ __all__ = [
     "DEFAULT_BUDGET_FACTOR",
 ]
 
-DEFAULT_BUDGET_FACTOR = 64  # max slots per target element, when a target is known
+DEFAULT_BUDGET_FACTOR = 64  # default max slots per element of the presented monoid
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,9 +100,9 @@ class CongruenceTable:
     def width(self):
         return len(self.alphabet)
 
-    def trace(self, word, start=0):
-        """Class reached from `start` by the word's letters."""
-        cur = start
+    def trace(self, word):
+        """Class reached from class 0, the empty word, by the word's letters."""
+        cur = 0
         width = self.width
         edges = self.edges
         for a in word:
@@ -138,24 +140,26 @@ def sweep_ops(relations):
     return ops, len(child) + 1
 
 
-def enumerate_quotient(presentation, max_slots):
+def enumerate_quotient(presentation, max_slots=None):
     """Enumerate the monoid the presentation defines; see module notes.
 
     Deterministic: slots are created in a fixed sweep order, so repeated
     runs produce identical tables.  Raises BudgetExceededError when more
-    than max_slots slots would be needed before closing.
+    than max_slots slots would be needed before closing; by default
+    max_slots is DEFAULT_BUDGET_FACTOR * cardinality_formula(n).
     """
     width = len(presentation.alphabet)
     if width == 0:
         raise ValueError("empty alphabet")
+    if max_slots is None:
+        max_slots = DEFAULT_BUDGET_FACTOR * cardinality_formula(presentation.n)
     if max_slots < 1:
         raise ValueError(f"slot budget must be positive, got {max_slots!r}")
     # Duplicate relation pairs impose nothing new; skipping them keeps
     # the sweep linear in the number of distinct relations.
     ops, nodes = sweep_ops(dict.fromkeys(presentation.relations))
 
-    blank = [-1] * width
-    tab = blank[:]
+    rows = [[-1] * width]  # rows[s][a]: the edge of slot s by letter a
     parent = [0]
     merges = 0
     at = [0] * nodes  # at[node]: a slot in the class of (word of s)(node's word)
@@ -171,7 +175,7 @@ def enumerate_quotient(presentation, max_slots):
         if t >= max_slots:
             raise BudgetExceededError(max_slots, t, merges, s)
         parent.append(t)
-        tab.extend(blank)
+        rows.append([-1] * width)
         return t
 
     s = 0
@@ -187,12 +191,12 @@ def enumerate_quotient(presentation, max_slots):
                 cur = at[src]
                 if parent[cur] != cur:
                     cur = find(cur)
-                k = cur * width + a
-                t = tab[k]
+                row = rows[cur]
+                t = row[a]
                 if t == -1:
-                    t = tab[k] = define()
+                    t = row[a] = define()
                 elif parent[t] != t:
-                    t = tab[k] = find(t)
+                    t = row[a] = find(t)
                 at[node] = t
                 continue
             # check: the relation's two ends must be one class
@@ -218,23 +222,24 @@ def enumerate_quotient(presentation, max_slots):
                     x, y = y, x
                 parent[y] = x
                 merges += 1
-                by = y * width
-                for k, t in enumerate(tab[by:by + width], x * width):
+                row = rows[x]
+                for k, t in enumerate(rows[y]):
                     if t != -1:
-                        u = tab[k]
+                        u = row[k]
                         if u == -1:
-                            tab[k] = t
+                            row[k] = t
                         else:
                             pending += (u, t)
+                rows[y] = None  # a merged slot is never read again
             if parent[s] != s:
                 # s was absorbed by a smaller slot, which was already
                 # swept in full while live; nothing left to do here.
                 break
         if parent[s] == s:
-            base = s * width
-            for k in range(base, base + width):
-                if tab[k] == -1:
-                    tab[k] = define()
+            row = rows[s]
+            for a in range(width):
+                if row[a] == -1:
+                    row[a] = define()
         s += 1
 
     live = [i for i in range(len(parent)) if parent[i] == i]
@@ -242,7 +247,7 @@ def enumerate_quotient(presentation, max_slots):
 
     def renumbered():
         for old in live:
-            for t in tab[old * width : (old + 1) * width]:
+            for t in rows[old]:
                 assert t != -1, "live slot with an undefined edge after closure"
                 yield number[find(t)]
 
@@ -333,8 +338,6 @@ def verify_defines(presentation, monoid, images=None, max_slots=None):
             f"e.g. {report.failures[0][2]} = {report.failures[0][3]}"
         )
     target = len(monoid)
-    if max_slots is None:
-        max_slots = DEFAULT_BUDGET_FACTOR * target
     t0 = time.perf_counter()
     try:
         table = enumerate_quotient(presentation, max_slots)
@@ -395,8 +398,6 @@ def check_tietze_bridge(n, r_table=None, q_table=None, max_slots=None):
     with the satisfaction checks this exhibits the two presentations as
     defining the same monoid.
     """
-    if max_slots is None:
-        max_slots = DEFAULT_BUDGET_FACTOR * cardinality_formula(n)
     pres_r = build_R(n)
     pres_q = build_Q(n)
     if r_table is None:

@@ -109,14 +109,14 @@ def product_table(m):
     >>> m[prod[5][9]] == m[5].compose(m[9])
     True
     """
-    rows = m.rows
-    index = {row: i for i, row in enumerate(rows)}
-    # a * b has row b[a[x]]; a leading 0 sends undefined points to 0
-    padded = [(0,) + row for row in rows]
+    # a * b has row b[a[x]]; a leading 0 sends undefined points to 0,
+    # and gathers at least two indices, so itemgetter returns a tuple
+    padded = [(0,) + row for row in m.rows]
+    index = {row: i for i, row in enumerate(padded)}
     try:
         return [
             list(map(index.__getitem__, map(itemgetter(*a), padded)))
-            for a in rows
+            for a in padded
         ]
     except KeyError:
         raise ValueError("not closed under composition") from None
@@ -135,14 +135,16 @@ def closure_rows(n, gen_rows):
     """Rows of the monoid the given rows generate, in discovery order.
 
     Breadth-first from the identity over right products by the
-    generators.
+    generators, each formed by the padded gather of ``product_table``.
     """
+    padded_gens = [(0,) + row for row in gen_rows]
     ident = tuple(range(1, n + 1))
     order = [ident]
     seen = {ident}
     for r in order:
-        for gr in gen_rows:
-            pr = tuple(gr[y - 1] if y else 0 for y in r)
+        times = itemgetter(0, *r)
+        for g in padded_gens:
+            pr = times(g)[1:]
             if pr not in seen:
                 seen.add(pr)
                 order.append(pr)

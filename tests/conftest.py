@@ -6,7 +6,6 @@ from hypothesis import settings
 from cycliso import (
     build_Q,
     build_R,
-    cardinality_formula,
     enumerate_quotient,
 )
 
@@ -27,7 +26,7 @@ def tables():
         key = (which, n)
         if key not in cache:
             pres = build_R(n) if which == "R" else build_Q(n)
-            cache[key] = enumerate_quotient(pres, 64 * cardinality_formula(n))
+            cache[key] = enumerate_quotient(pres)
         return cache[key]
 
     return get

@@ -14,6 +14,7 @@ from cycliso import (
     build_by_restrictions,
     cardinality_formula,
     extensions_of,
+    green_oracle,
     group_elements,
     idempotent,
     monoid_closure,
@@ -305,6 +306,31 @@ def test_product_table_rejects_a_monoid_that_is_not_closed():
     # g alone closes to 4 > |m| rows, which a size test would read as generating m
     with pytest.raises(ValueError, match="not closed under composition"):
         rank_search(m, exhaustive_pairs=True)
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (1, [(0,), (1,)]),
+        # the symmetric inverse monoid on two points
+        (2, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1)]),
+    ],
+)
+def test_products_on_fewer_than_three_points(n, rows):
+    # with one point a gather over one index yields the item, not a 1-tuple
+    m = FiniteMonoid(n, rows, {})
+    prod = product_table(m)
+    for i, a in enumerate(m):
+        assert [m.rows[k] for k in prod[i]] == [a.compose(b).row for b in m]
+    # both monoids hold every partial bijection, so a L b iff a, b share an image
+    by_image = {}
+    for i, row in enumerate(m.rows):
+        by_image.setdefault(frozenset(row) - {0}, set()).add(i)
+    assert green_oracle(m, "L").partition() == frozenset(map(frozenset, by_image.values()))
+    assert set(closure_rows(n, m.rows)) == set(m.rows)
+    report = rank_search(m, exhaustive_pairs=True)
+    assert report.singles_checked == len(m)
+    assert report.generating_pairs == row_closure_pair_scan(m)[3]
 
 
 def row_closure_pair_scan(m):
