@@ -46,12 +46,11 @@ class GreenClasses:
 
 
 def _group_by(keyed):
-    """keyed: iterable of (key, ordinal) -> canonical GreenClasses body."""
+    """(key, ordinal) pairs, ordinals increasing -> sorted GreenClasses body."""
     buckets = {}
     for key, i in keyed:
         buckets.setdefault(key, []).append(i)
-    classes = sorted((tuple(sorted(v)) for v in buckets.values()))
-    return tuple(classes)
+    return tuple(map(tuple, buckets.values()))
 
 
 def _domain_masks(m):

@@ -11,16 +11,16 @@ they can cross-check one another:
 - ``build_by_bruteforce``: filter every injective partial map through the
   distance test (the definition route; exponential, small n only).
 
-Each route emits dense rows, and a ``FiniteMonoid`` holds them once, as
-one tuple in canonical order; ``PartialPerm`` objects are only views
-built when an element is read.  The element count obeys a closed
-formula split by parity, implemented in ``cardinality_formula``.
+Each route emits dense rows in canonical order, and a ``FiniteMonoid``
+checks that order (it never sorts) and holds the rows once, as one tuple;
+``PartialPerm`` objects are only views built when an element is read.
+The element count has a closed form split by parity, ``cardinality_formula``.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
-from operator import eq, itemgetter, mul
+from itertools import combinations, pairwise, permutations, starmap
+from operator import itemgetter, lt, mul
 
 from .dihedral import DihedralElement, group_elements
 from .partial_perm import PartialPerm, canonical_key, check_row, idempotent
@@ -55,20 +55,24 @@ class FiniteMonoid:
     """A finite monoid of partial permutations, closed under composition.
 
     The elements are held once, as ``rows``: a tuple of dense rows in
-    canonical order (rank, then domain, then image row), so equal
-    monoids list their elements identically no matter how they were
-    built.  Indexing and iteration hand out ``PartialPerm`` views built
+    canonical order (rank, then domain, then image row), in which the
+    rows must arrive, each once; the constructor checks this and never
+    sorts.  Indexing and iteration hand out ``PartialPerm`` views built
     on access; membership is a binary search.  An instance holds only
     ``n``, ``rows`` and ``generators`` and caches nothing.
+
+    >>> FiniteMonoid(3, [(1, 2, 3), (1, 2, 0)], {})
+    Traceback (most recent call last):
+    ValueError: rows not in strictly increasing canonical order
     """
 
     def __init__(self, n, rows, generators):
         self.n = n
-        self.rows = tuple(sorted(map(tuple, rows), key=canonical_key))
+        self.rows = tuple(map(tuple, rows))
         for row in self.rows:
             check_row(n, row)
-        if any(map(eq, self.rows, islice(self.rows, 1, None))):
-            raise ValueError("duplicate elements")
+        if not all(starmap(lt, pairwise(map(canonical_key, self.rows)))):
+            raise ValueError("rows not in strictly increasing canonical order")
         if PartialPerm.identity(n) not in self:
             raise ValueError("identity map missing")
         self.generators = dict(generators)
@@ -183,10 +187,11 @@ def build_by_restrictions(n):
 
 
 def build_by_closure(n):
-    """Closure of {g, h, e_n} under composition."""
+    """Closure of {g, h, e_n}, sorted: breadth-first order is not canonical."""
     _check_n(n)
     gens = standard_generators(n)
-    return FiniteMonoid(n, closure_rows(n, [a.row for a in gens.values()]), gens)
+    rows = closure_rows(n, [a.row for a in gens.values()])
+    return FiniteMonoid(n, sorted(rows, key=canonical_key), gens)
 
 
 def build_by_bruteforce(n):

@@ -115,11 +115,6 @@ class PartialPerm:
             raise KeyError(f"{x} not in domain")
         return y
 
-    def get(self, x):
-        """Image of x, or None if x is outside the domain."""
-        y = self.row[x - 1]
-        return y if y else None
-
     def domain(self):
         return tuple(compress(range(1, self.n + 1), self.row))
 

@@ -21,6 +21,7 @@ left to right.
 from dataclasses import dataclass
 
 from .dihedral import DihedralElement
+from .monoid import _check_n
 from .partial_perm import PartialPerm, idempotent
 
 __all__ = [
@@ -107,11 +108,6 @@ class Presentation:
             )
             labels.append(item.get("label", ""))
         return cls(obj["name"], obj["n"], alphabet, tuple(rels), tuple(labels))
-
-
-def _check_n(n):
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"need an integer n >= 3, got {n!r}")
 
 
 def build_R(n):

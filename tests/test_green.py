@@ -204,11 +204,16 @@ def test_partitions_cover_everything_once():
         green_LRH(m, "R"),
         green_LRH(m, "H"),
         green_J(m, CycleMetric(4)),
+        *(green_oracle(m, rel) for rel in "LRHJD"),
     ):
         seen = [i for c in classes.classes for i in c]
         assert sorted(seen) == list(range(len(m)))
         hist = classes.class_sizes_histogram()
         assert sum(k * v for k, v in hist.items()) == len(m)
+        # members increase within a class, and classes by their least member
+        assert all(a < b for c in classes.classes for a, b in zip(c, c[1:]))
+        firsts = [c[0] for c in classes.classes]
+        assert firsts == sorted(firsts)
 
 
 def test_oracle_validation():

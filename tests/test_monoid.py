@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from itertools import combinations, permutations
 
@@ -206,6 +207,7 @@ def test_removal_idempotents_conjugate_around_the_cycle():
         pytest.param([(1, 2, 3), (4, 2, 3)], {}, id="image-above-n"),
         pytest.param([(1, 2, 3), (1, 2)], {}, id="short-row"),
         pytest.param([(1, 2, 3), (0, 0, 0), (0, 0, 0)], {}, id="duplicate-row"),
+        pytest.param([(0, 0, 0), (0, 0, 0), (1, 2, 3)], {}, id="duplicate-row-in-order"),
         pytest.param([(0, 0, 0)], {}, id="missing-identity"),
         pytest.param([(1, 2, 3)], {"e": idempotent(3, 3)}, id="generator-not-a-member"),
     ],
@@ -234,9 +236,23 @@ def test_membership_is_exactly_the_distance_test(n, maps):
 
 
 @pytest.mark.parametrize("n", range(3, 7))
-def test_rows_are_held_in_canonical_order_whatever_the_input_order(n):
+def test_rows_must_arrive_in_canonical_order(n):
     m = build_by_closure(n)
-    assert FiniteMonoid(n, reversed(m.rows), m.generators).rows == m.rows
+    with pytest.raises(ValueError, match="canonical order"):
+        FiniteMonoid(n, reversed(m.rows), m.generators)
+
+
+def test_constructor_holds_no_key_per_element():
+    # the rows arrive in canonical order, so the constructor checks the
+    # order with one key at a time instead of sorting by a list of keys
+    tracemalloc.start()
+    try:
+        m = build_by_restrictions(10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(m) == KNOWN_SIZES[10]
+    assert peak < 1.25 * held
 
 
 @pytest.mark.parametrize("method", sorted(BUILDERS))
