@@ -21,7 +21,7 @@ from .monoid import product_table
 
 __all__ = ["GreenClasses", "check_oracle_size", "green_LRH", "green_J", "green_oracle"]
 
-ORACLE_SIZE_BOUND = 1024  # |M|; the oracle tabulates all |M|^2 products, so n <= 6
+ORACLE_SIZE_BOUND = 1024  # |M|; the oracle holds an |M|^2 product table, so n <= 6
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _principal_ideals(m):
     """(prod, left, right): prod is ``monoid.product_table(m)``, left[j]
     the bitmask of the left ideal M·m[j] and right[i] that of m[i]·M.
 
-    Tabulates all |M|^2 products on every call, so callers bound |M| first.
+    Builds the |M|^2 table on every call, so callers bound |M| first.
     """
     prod = product_table(m)
     bit = [1 << k for k in range(len(prod))]
@@ -138,8 +138,9 @@ def _principal_ideals(m):
 def green_oracle(m, relation):
     """Green classes straight from the definitions, via principal ideals.
 
-    Tabulates the |M| x |M| product table, with each left ideal
-    M a and right ideal a M as a bitmask, and reads off:
+    Builds the |M| x |M| product table from composition and
+    associativity alone, with each left ideal M a and right ideal a M
+    as a bitmask, and reads off:
 
         a L b  iff  M a = M b        a R b  iff  a M = b M
         a H b  iff  both             a J b  iff  M a M = M b M

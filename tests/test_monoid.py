@@ -303,15 +303,27 @@ def test_structural_rank_bound_agrees_with_the_pair_scan(n):
     assert rank_search(m, exhaustive_pairs=True).minimum_is_three
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_product_table_holds_the_ordinal_of_every_product(n):
-    m = build_by_restrictions(n)
+def assert_table_is_exact(m):
     prod = product_table(m)
+    elements = m.elements
     assert len(prod) == len(m)
-    for i, a in enumerate(m):
-        assert len(prod[i]) == len(m)
-        for j, b in enumerate(m):
-            assert m.rows[prod[i][j]] == a.compose(b).row
+    for a, line in zip(elements, prod):
+        assert [m.rows[k] for k in line] == [a.compose(b).row for b in elements]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_product_table_holds_the_ordinal_of_every_product(n):
+    # every builder, so the search starts from each one's generators
+    for method in sorted(BUILDERS):
+        assert_table_is_exact(BUILDERS[method](n))
+
+
+@pytest.mark.parametrize("generators", ["rotation", "none"])
+def test_product_table_is_exact_when_the_generators_do_not_generate(generators):
+    m = build_by_restrictions(4)
+    gens = {"g": m.generators["g"]} if generators == "rotation" else {}
+    # the search reaches only the rotations, or nothing; the rest is composed
+    assert_table_is_exact(FiniteMonoid(4, m.rows, gens))
 
 
 def test_product_table_rejects_a_monoid_that_is_not_closed():
@@ -320,6 +332,22 @@ def test_product_table_rejects_a_monoid_that_is_not_closed():
     with pytest.raises(ValueError, match="not closed under composition"):
         product_table(m)
     # g alone closes to 4 > |m| rows, which a size test would read as generating m
+    with pytest.raises(ValueError, match="not closed under composition"):
+        rank_search(m, exhaustive_pairs=True)
+
+
+@pytest.mark.parametrize("path", ["generator_row", "unreached_row"])
+def test_product_table_finds_a_missing_product_on_either_path(path):
+    ident, g = PartialPerm.identity(4), standard_generators(4)["g"]
+    empty = PartialPerm(4, (0, 0, 0, 0))
+    if path == "generator_row":
+        # g * g is missing from the generator's own row
+        m = FiniteMonoid(4, [ident.row, g.row], {"g": g})
+    else:
+        # the search from the identity reaches only the empty map, never g
+        m = FiniteMonoid(4, [empty.row, ident.row, g.row], {"0": empty})
+    with pytest.raises(ValueError, match="not closed under composition"):
+        product_table(m)
     with pytest.raises(ValueError, match="not closed under composition"):
         rank_search(m, exhaustive_pairs=True)
 
