@@ -15,8 +15,9 @@ Subcommands:
   presentation.
 - ``tietze``: cross-derivability of the two presentations.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage
-error, 3 enumeration hit its slot budget (inconclusive).
+Exit codes: 0 all checks passed, 1 a verification failed or an
+internal error, 2 a bad command line (refused before any work), 3
+enumeration hit its slot budget (inconclusive).
 """
 
 import argparse
@@ -34,8 +35,9 @@ from .congruence import (
     verify_defines,
 )
 from .cycle import CycleMetric
-from .green import check_oracle_size, green_J, green_LRH, green_oracle
+from .green import ORACLE_SIZE_BOUND, green_J, green_LRH, green_oracle
 from .monoid import (
+    BRUTEFORCE_BOUND,
     PAIR_SEARCH_BOUND,
     build_by_bruteforce,
     build_by_closure,
@@ -61,14 +63,27 @@ BUILDERS = {
 }
 
 
-def _positive_n(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 3:
-        raise argparse.ArgumentTypeError(f"n must be >= 3, got {n}")
-    return n
+class UsageError(Exception):
+    """A command line that parses but asks for more than a bound allows."""
+
+
+def _int_at_least(low, name):
+    """An argparse type: an integer no less than ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_n = _int_at_least(3, "n")
+_slot_budget = _int_at_least(1, "--max-slots")
 
 
 def _n_range(text):
@@ -100,6 +115,8 @@ def _emit(obj, out):
 
 
 def cmd_enumerate(args):
+    if args.method == "bruteforce" and args.n > BRUTEFORCE_BOUND:
+        raise UsageError(f"n={args.n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
     monoid = BUILDERS[args.method](args.n)
     # the bytes of json.dumps(a.to_json(), separators=(",", ":")), per element
     label = tuple(map(str, range(args.n + 1)))
@@ -139,8 +156,9 @@ def cmd_count(args):
 
 
 def cmd_green(args):
-    if args.verify_oracle:
-        check_oracle_size(cardinality_formula(args.n))
+    size = cardinality_formula(args.n)
+    if args.verify_oracle and size > ORACLE_SIZE_BOUND:
+        raise UsageError(f"|M| = {size} above oracle size bound {ORACLE_SIZE_BOUND}")
     monoid = build_by_restrictions(args.n)
     metric = CycleMetric(args.n)
     if args.relation == "J":
@@ -315,7 +333,7 @@ def build_parser():
     q = psub.add_parser("verify", help="enumerate the quotient and compare sizes")
     q.add_argument("--n", type=_positive_n, required=True)
     q.add_argument("--which", choices=("R", "Q"), required=True)
-    q.add_argument("--max-slots", type=int)
+    q.add_argument("--max-slots", type=_slot_budget)
     common(q)
     q.set_defaults(func=cmd_present_verify)
 
@@ -326,7 +344,7 @@ def build_parser():
 
     p = sub.add_parser("tietze", help="cross-derive the two presentations")
     p.add_argument("--n", type=_positive_n, required=True)
-    p.add_argument("--max-slots", type=int)
+    p.add_argument("--max-slots", type=_slot_budget)
     common(p)
     p.set_defaults(func=cmd_tietze)
 
@@ -341,6 +359,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         _emit({"n": args.n, "verdict": "inconclusive", "detail": str(exc)}, args.out)
         return EXIT_INCONCLUSIVE
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_FAIL

@@ -15,11 +15,13 @@ The two must produce identical partitions; tests enforce that.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 from .monoid import product_table
 
-__all__ = ["GreenClasses", "check_oracle_size", "green_LRH", "green_J", "green_oracle"]
+__all__ = ["GreenClasses", "green_LRH", "green_J", "green_oracle"]
 
 ORACLE_SIZE_BOUND = 1024  # |M|; the oracle holds an |M|^2 product table, so n <= 6
 
@@ -116,58 +118,42 @@ def green_J(m, metric):
     return GreenClasses("J", _group_by(keyed))
 
 
-def check_oracle_size(size):
-    """Raise ValueError if a monoid of this size is above the oracle's bound."""
-    if size > ORACLE_SIZE_BOUND:
-        raise ValueError(f"|M| = {size} above oracle size bound {ORACLE_SIZE_BOUND}")
-
-
-def _principal_ideals(m):
-    """(prod, left, right): prod is ``monoid.product_table(m)``, left[j]
-    the bitmask of the left ideal M·m[j] and right[i] that of m[i]·M.
-
-    Builds the |M|^2 table on every call, so callers bound |M| first.
-    """
-    prod = product_table(m)
-    bit = [1 << k for k in range(len(prod))]
-    right = [sum(map(bit.__getitem__, set(line))) for line in prod]
-    left = [sum(map(bit.__getitem__, set(col))) for col in zip(*prod)]
-    return prod, left, right
-
-
 def green_oracle(m, relation):
     """Green classes straight from the definitions, via principal ideals.
 
     Builds the |M| x |M| product table from composition and
-    associativity alone, with each left ideal M a and right ideal a M
-    as a bitmask, and reads off:
+    associativity alone (``monoid.product_table``) and reads off each
+    principal ideal as a bitmask of ordinals: row a of the table is the
+    right ideal a M, column a the left ideal M a, and
 
         a L b  iff  M a = M b        a R b  iff  a M = b M
         a H b  iff  both             a J b  iff  M a M = M b M
 
-    with M a M accumulated as the union of M c over c in a M.  "D" gives
-    the join of L and R, which for these finite monoids must equal J.
+    with M a M the union of M c over c in a M.  Each relation builds
+    only the masks it reads.  "D" gives the join of the L and R
+    partitions, which for these finite monoids must equal J.
     """
     if relation not in ("L", "R", "H", "J", "D"):
         raise ValueError(f"relation must be one of L R H J D, got {relation!r}")
     size = len(m)
-    check_oracle_size(size)
-    prod, left_mask, right_mask = _principal_ideals(m)
+    if size > ORACLE_SIZE_BOUND:
+        raise ValueError(f"|M| = {size} above oracle size bound {ORACLE_SIZE_BOUND}")
+    prod = product_table(m)
+    bit = [1 << k for k in range(size)]
+
+    def masks(lines):
+        return [sum(map(bit.__getitem__, set(line))) for line in lines]
 
     if relation == "L":
-        keyed = [(left_mask[i], i) for i in range(size)]
+        keys = masks(zip(*prod))
     elif relation == "R":
-        keyed = [(right_mask[i], i) for i in range(size)]
+        keys = masks(prod)
     elif relation == "H":
-        keyed = [((left_mask[i], right_mask[i]), i) for i in range(size)]
+        keys = zip(masks(zip(*prod)), masks(prod))
     elif relation == "J":
-        keyed = []
-        for i in range(size):
-            two_sided = 0
-            for c in set(prod[i]):
-                two_sided |= left_mask[c]
-            keyed.append((two_sided, i))
-    else:  # D: join of L and R as partitions
+        left = masks(zip(*prod))
+        keys = [reduce(or_, map(left.__getitem__, set(line))) for line in prod]
+    else:  # D: join of the L and R partitions
         parent = list(range(size))
 
         def find(x):
@@ -176,17 +162,10 @@ def green_oracle(m, relation):
                 x = parent[x]
             return x
 
-        def union_all(keyfn):
-            buckets = {}
-            for i in range(size):
-                buckets.setdefault(keyfn(i), []).append(i)
-            for members in buckets.values():
-                r = find(members[0])
-                for x in members[1:]:
-                    parent[find(x)] = r
+        for ideals in (masks(zip(*prod)), masks(prod)):
+            for first, *rest in _group_by(zip(ideals, range(size))):
+                for x in rest:
+                    parent[find(x)] = find(first)
+        keys = map(find, range(size))
 
-        union_all(lambda i: left_mask[i])
-        union_all(lambda i: right_mask[i])
-        keyed = [(find(i), i) for i in range(size)]
-
-    return GreenClasses(relation, _group_by(keyed))
+    return GreenClasses(relation, _group_by(zip(keys, range(size))))

@@ -104,20 +104,17 @@ class FiniteMonoid:
 def product_table(m):
     """The multiplication table: prod[i][j] is the ordinal of m[i] * m[j].
 
-    Only the rows of m's declared generators are composed element by
-    element.  The identity's row is ``range(|M|)``, and every other row
-    is derived along the left Cayley graph: a breadth-first search from
-    the identity reaches a = g * c from c, and since (g * c) * b =
-    g * (c * b), row a is row c read through row g.  A row the search
-    does not reach, because the declared generators are missing or do
-    not generate m, is composed like a generator's.  So the table is
-    exact for every ``FiniteMonoid``; the generators only make it faster.
+    No generators are read.  The ordinals are walked from the last (the
+    highest rank) down, and a row that no earlier row has derived is
+    composed element by element.  From each composed row a breadth-first
+    search follows the left Cayley graph of the rows composed so far:
+    a = h * c is reached from c, and since (h * c) * b = h * (c * b),
+    row a is row c read through row h.
 
     A product outside m raises ValueError, since a ``FiniteMonoid`` does
-    not check closure itself.  A reached a is a product g1 * ... * gk,
-    and a * b = g1 * (g2 * (... (gk * b))) steps through generator rows
-    only, each composed and checked; so a missing product can lie only
-    in an unreached row, and composing that row raises.
+    not check closure itself.  Every entry of a derived row is an entry
+    of a composed row, so a missing product can lie only in a composed
+    row, and composing that row raises.
 
     The table holds |M|^2 entries, so callers bound |M| first.
 
@@ -125,39 +122,31 @@ def product_table(m):
     >>> prod = product_table(m)
     >>> m[prod[5][9]] == m[5].compose(m[9])
     True
+    >>> product_table(FiniteMonoid(3, m.rows, {})) == prod
+    True
     """
     # a * b has row b[a[x]]; a leading 0 sends undefined points to 0,
     # and gathers at least two indices, so itemgetter returns a tuple
     padded = [(0,) + row for row in m.rows]
     index = {row: i for i, row in enumerate(padded)}
-    size = len(padded)
-    prod = [None] * size
-
-    def compose_row(i):
+    prod = [None] * len(padded)
+    composed = []
+    for i in reversed(range(len(padded))):
+        if prod[i] is not None:
+            continue
         try:
             prod[i] = list(map(index.__getitem__, map(itemgetter(*padded[i]), padded)))
         except KeyError:
             raise ValueError("not closed under composition") from None
-
-    ident = index[tuple(range(m.n + 1))]
-    prod[ident] = list(range(size))
-    gens = [index[(0,) + a.row] for a in m.generators.values()]
-    gens = [g for g in dict.fromkeys(gens) if g != ident]
-    for g in gens:
-        compose_row(g)
-    # the search starts one step out: g = g * identity is already known
-    order = [ident, *gens]
-    gen_rows = [prod[g] for g in gens]
-    for c in order:
-        row_c = prod[c]
-        for row_g in gen_rows:
-            a = row_g[c]
-            if prod[a] is None:
-                prod[a] = list(map(row_g.__getitem__, row_c))
-                order.append(a)
-    for i in range(size):
-        if prod[i] is None:
-            compose_row(i)
+        composed.append(prod[i])
+        order = [i]
+        for c in order:
+            row_c = prod[c]
+            for row_h in composed:
+                a = row_h[c]
+                if prod[a] is None:
+                    prod[a] = list(map(row_h.__getitem__, row_c))
+                    order.append(a)
     return prod
 
 

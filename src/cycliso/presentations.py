@@ -20,8 +20,7 @@ left to right.
 
 from dataclasses import dataclass
 
-from .dihedral import DihedralElement
-from .monoid import _check_n
+from .monoid import _check_n, standard_generators
 from .partial_perm import PartialPerm, idempotent
 
 __all__ = [
@@ -201,18 +200,16 @@ def relation_count_formula(name, n):
 def canonical_images(presentation):
     """The intended generator images, aligned with the alphabet.
 
-    'g' is the unit rotation, 'h' the reflection, 'e' or 'e_i' the
-    identity with point n (resp. i) removed.
+    'g', 'h' and 'e' are g, h and e_n of ``monoid.standard_generators``;
+    'e_i' is the identity with point i removed.
     """
     n = presentation.n
+    named = standard_generators(n)
+    named["e"] = named["e_n"]
     out = []
     for name in presentation.alphabet:
-        if name == "g":
-            out.append(DihedralElement.rotation(n).to_partial_perm())
-        elif name == "h":
-            out.append(DihedralElement.reflection(n).to_partial_perm())
-        elif name == "e":
-            out.append(idempotent(n, n))
+        if name in named:
+            out.append(named[name])
         elif name.startswith("e_"):
             out.append(idempotent(n, int(name[2:])))
         else:

@@ -119,9 +119,14 @@ def test_enumerate_writes_in_batches(monkeypatch):
     assert [w.count("\n") for w in writes] == [10] * 9 + [7]
 
 
-def test_enumerate_bruteforce_bound_is_usage_error(capsys):
-    code, _, err = run(capsys, "enumerate", "--n", "9", "--method", "bruteforce")
-    assert code == 2
+def test_enumerate_bruteforce_bound_is_usage_error(monkeypatch, capsys):
+    def no_build(n):
+        raise AssertionError("built the monoid")
+
+    # the bound is checked before the build, as green checks the oracle's
+    monkeypatch.setitem(cli.BUILDERS, "bruteforce", no_build)
+    code, out, err = run(capsys, "enumerate", "--n", "9", "--method", "bruteforce")
+    assert code == 2 and out == ""
     assert "bruteforce bound" in err
 
 
@@ -250,6 +255,25 @@ def test_usage_errors_exit_2(capsys):
         main(["present", "verify", "--n", "4"])  # --which missing
     assert info.value.code == 2
     assert "--which" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["present verify --which R", "tietze"])
+def test_slot_budget_below_one_is_refused_while_parsing(command, capsys):
+    argv = command.split() + ["--n", "3", "--max-slots", "0"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "--max-slots must be >= 1" in capsys.readouterr().err
+
+
+def test_an_internal_error_is_not_a_usage_error(monkeypatch, capsys):
+    def fails(presentation, monoid, max_slots=None):
+        raise ValueError("the images do not generate the monoid")
+
+    monkeypatch.setattr(cli, "verify_defines", fails)
+    code, out, err = run(capsys, "present", "verify", "--n", "3", "--which", "R")
+    assert code == 1 and out == ""
+    assert err == "internal error: the images do not generate the monoid\n"
 
 
 def test_module_entry_point():

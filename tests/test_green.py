@@ -166,9 +166,9 @@ def test_J_rejects_metric_of_another_cycle():
 
 def test_oracle_checks_its_bound_before_tabulating(monkeypatch):
     tabulated = []
-    tabulate = green._principal_ideals
+    tabulate = green.product_table
     monkeypatch.setattr(
-        green, "_principal_ideals", lambda m: tabulated.append(len(m)) or tabulate(m)
+        green, "product_table", lambda m: tabulated.append(len(m)) or tabulate(m)
     )
     big = build_by_restrictions(7)  # |M| = 1730, above the oracle's bound of 1024
     with pytest.raises(ValueError):

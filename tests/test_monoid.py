@@ -313,16 +313,30 @@ def assert_table_is_exact(m):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_product_table_holds_the_ordinal_of_every_product(n):
-    # every builder, so the search starts from each one's generators
     for method in sorted(BUILDERS):
         assert_table_is_exact(BUILDERS[method](n))
+    assert_table_is_exact(units(build_by_restrictions(n)))
 
 
-@pytest.mark.parametrize("generators", ["rotation", "none"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_product_table_reads_no_generators(n):
+    tables = []
+    for method in sorted(BUILDERS):
+        m = BUILDERS[method](n)
+        m.generators = None  # any read of the generators raises
+        tables.append(product_table(m))
+    assert tables[0] == tables[1] == tables[2]
+    assert_table_is_exact(m)
+
+
+@pytest.mark.parametrize("generators", ["rotation", "none", "empty_map"])
 def test_product_table_is_exact_when_the_generators_do_not_generate(generators):
     m = build_by_restrictions(4)
-    gens = {"g": m.generators["g"]} if generators == "rotation" else {}
-    # the search reaches only the rotations, or nothing; the rest is composed
+    gens = {
+        "rotation": {"g": m.generators["g"]},
+        "none": {},
+        "empty_map": {"0": m[0]},
+    }[generators]
     assert_table_is_exact(FiniteMonoid(4, m.rows, gens))
 
 
@@ -339,13 +353,14 @@ def test_product_table_rejects_a_monoid_that_is_not_closed():
 @pytest.mark.parametrize("path", ["generator_row", "unreached_row"])
 def test_product_table_finds_a_missing_product_on_either_path(path):
     ident, g = PartialPerm.identity(4), standard_generators(4)["g"]
-    empty = PartialPerm(4, (0, 0, 0, 0))
     if path == "generator_row":
-        # g * g is missing from the generator's own row
+        # g * g is missing from the row of g, the first one composed
         m = FiniteMonoid(4, [ident.row, g.row], {"g": g})
     else:
-        # the search from the identity reaches only the empty map, never g
-        m = FiniteMonoid(4, [empty.row, ident.row, g.row], {"0": empty})
+        # the identity's row is composed and closed, and derives no other;
+        # a * a = {1: 3} is missing from the row of a, composed second
+        empty, a = PartialPerm(4, (0, 0, 0, 0)), PartialPerm(4, (2, 3, 0, 0))
+        m = FiniteMonoid(4, [empty.row, a.row, ident.row], {"0": empty})
     with pytest.raises(ValueError, match="not closed under composition"):
         product_table(m)
     with pytest.raises(ValueError, match="not closed under composition"):
