@@ -19,8 +19,8 @@ The element count has a closed form split by parity, ``cardinality_formula``.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, pairwise, permutations, starmap
-from operator import itemgetter, lt, mul
+from itertools import combinations, compress, pairwise, permutations, starmap
+from operator import itemgetter, lt
 
 from .dihedral import DihedralElement, group_elements
 from .partial_perm import PartialPerm, canonical_key, check_row, idempotent
@@ -69,9 +69,26 @@ class FiniteMonoid:
     def __init__(self, n, rows, generators):
         self.n = n
         self.rows = tuple(map(tuple, rows))
-        for row in self.rows:
-            check_row(n, row)
-        if not all(starmap(lt, pairwise(map(canonical_key, self.rows)))):
+        points = range(1, n + 1)
+        images = frozenset(points)
+
+        def checked_key(row):
+            # canonical_key(row), checking the row on the way: bytes() takes
+            # integers in 0..255 only, and the nonzero ones must lie in 1..n,
+            # each once.  A row that fails goes to check_row, which raises
+            # as it always has, or passes a row it accepts (True for 1).
+            try:
+                img = set(bytes(row))
+            except (TypeError, ValueError):
+                img = {None}  # fails the subset test
+            img.discard(0)
+            dom = tuple(compress(points, row))
+            if len(row) != n or len(img) != len(dom) or not img <= images:
+                check_row(n, row)
+            return len(dom), dom, row
+
+        # min, not all: every row is checked before an order error is raised
+        if not min(starmap(lt, pairwise(map(checked_key, self.rows))), default=True):
             raise ValueError("rows not in strictly increasing canonical order")
         if PartialPerm.identity(n) not in self:
             raise ValueError("identity map missing")
@@ -106,10 +123,10 @@ def product_table(m):
 
     No generators are read.  The ordinals are walked from the last (the
     highest rank) down, and a row that no earlier row has derived is
-    composed element by element.  From each composed row a breadth-first
-    search follows the left Cayley graph of the rows composed so far:
-    a = h * c is reached from c, and since (h * c) * b = h * (c * b),
-    row a is row c read through row h.
+    composed element by element.  From each composed row, and from every
+    row already known, a breadth-first search follows the left Cayley
+    graph of the rows composed so far: a = h * c is reached from c, and
+    since (h * c) * b = h * (c * b), row a is row c read through row h.
 
     A product outside m raises ValueError, since a ``FiniteMonoid`` does
     not check closure itself.  Every entry of a derived row is an entry
@@ -131,6 +148,7 @@ def product_table(m):
     index = {row: i for i, row in enumerate(padded)}
     prod = [None] * len(padded)
     composed = []
+    known = []
     for i in reversed(range(len(padded))):
         if prod[i] is not None:
             continue
@@ -139,7 +157,7 @@ def product_table(m):
         except KeyError:
             raise ValueError("not closed under composition") from None
         composed.append(prod[i])
-        order = [i]
+        known = order = [i, *known]
         for c in order:
             row_c = prod[c]
             for row_h in composed:
@@ -191,7 +209,24 @@ def build_by_restrictions(n):
 
     Emits the elements domain by domain in canonical order: domains by
     rank, then lexicographically, and for each domain the distinct
-    restrictions of the 2n symmetries, sorted by row.
+    restrictions of the 2n symmetries in row order.  That order needs no
+    sort per domain.  Let d0 be the least point of the domain and d1 the
+    least domain point that is neither d0 nor antipodal to d0.  A
+    symmetry is fixed by its images of d0 and d1, and its image of the
+    antipode of d0 follows from that of d0, so the 2n restrictions are
+    distinct and in row order when the symmetries are ordered by their
+    images of (d0, d1).  Without a d1 (a single point or an antipodal
+    pair) the image of d0 fixes the restriction, and one symmetry per
+    image of d0 gives the n distinct ones.  Only the pair (d0, d1)
+    matters, so each of the at most n^2 orders is formed once per call.
+
+    For even n, d1 is not simply the second point: on the 6-cycle the
+    domain {1, 4, 5} has 4 antipodal to 1, so d1 = 5, and the two
+    symmetries sending 1 to 1 (and so 4 to 4) are told apart at 5:
+
+    >>> m = build_by_restrictions(6)
+    >>> [a.to_json()["img"] for a in m if a.domain() == (1, 4, 5)][:4]
+    [[1, 4, 3], [1, 4, 5], [2, 5, 4], [2, 5, 6]]
 
     >>> m = build_by_restrictions(4)
     >>> len(m)
@@ -200,14 +235,28 @@ def build_by_restrictions(n):
     ({'n': 4, 'dom': [], 'img': []}, {'n': 4, 'dom': [1], 'img': [1]})
     """
     _check_n(n)
-    totals = [e.to_partial_perm().row for e in group_elements(n)]
-    rows = []
-    for k in range(n + 1):
+    # a trailing 0 for the slots off the domain to gather
+    totals = [e.to_partial_perm().row + (0,) for e in group_elements(n)]
+    antipode_gap = n // 2 if n % 2 == 0 else None
+    orders = {}
+    rows = [(0,) * n]
+    for k in range(1, n + 1):
         for dom in combinations(range(n), k):
-            selector = [0] * n
+            d0 = dom[0]
+            # d0 is the least point, so its antipode, if any, is d0 + n/2
+            d1 = next((d for d in dom[1:] if d - d0 != antipode_gap), None)
+            order = orders.get((d0, d1))
+            if order is None:
+                if d1 is None:
+                    one_each = {total[d0]: total for total in totals}
+                    order = sorted(one_each.values(), key=itemgetter(d0))
+                else:
+                    order = sorted(totals, key=itemgetter(d0, d1))
+                orders[d0, d1] = order
+            idx = [n] * n
             for i in dom:
-                selector[i] = 1
-            rows.extend(sorted({tuple(map(mul, total, selector)) for total in totals}))
+                idx[i] = i
+            rows.extend(map(itemgetter(*idx), order))
     return FiniteMonoid(n, rows, standard_generators(n))
 
 

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import weakref
 from itertools import combinations, permutations
+from operator import itemgetter, mul
 
 import pytest
 
@@ -25,7 +26,9 @@ from cycliso import (
 )
 from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement
+import cycliso.monoid
 from cycliso.monoid import closure_rows, product_table
+from cycliso.partial_perm import check_row
 
 # first few values of the closed formula, frozen from an independent
 # evaluation of n 2^(n+1) - ((-1)^n + 5)/4 n^2 - 2n + 1
@@ -115,6 +118,24 @@ def test_restriction_counts_per_domain_give_the_formula(n):
     even = 1 - n % 2
     assert total == 2 * n * 2**n - (2 * n - 1) - n * n - even * n * n // 2
     assert total == cardinality_formula(n) == len(build_by_restrictions(n))
+
+
+def restriction_rows_by_sorting(n):
+    """The restriction builder as it ran with a set and a sort per domain."""
+    totals = [e.to_partial_perm().row for e in group_elements(n)]
+    rows = []
+    for k in range(n + 1):
+        for dom in combinations(range(n), k):
+            selector = [0] * n
+            for i in dom:
+                selector[i] = 1
+            rows.extend(sorted({tuple(map(mul, total, selector)) for total in totals}))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_restrictions_in_d0_d1_order_match_the_sorted_sets(n):
+    assert list(build_by_restrictions(n).rows) == restriction_rows_by_sorting(n)
 
 
 def test_generators_are_elements():
@@ -215,6 +236,33 @@ def test_removal_idempotents_conjugate_around_the_cycle():
 def test_identity_must_be_present(rows, generators):
     with pytest.raises(ValueError):
         FiniteMonoid(3, rows, generators)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(-1, 0, 0), (2.0, 0, 0), (0, 2, 2), (1, 2), (1, 2, 3, 0), ("1", 0, 0), (300, 0, 0)],
+    ids=["negative", "float", "repeated-image", "short", "long", "str", "above-255"],
+)
+@pytest.mark.parametrize("place", ["first", "after-identity", "after-an-order-error"])
+def test_constructor_rejects_what_check_row_rejects(bad, place):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        check_row(3, bad)
+    ident = (1, 2, 3)
+    rows = {
+        "first": [bad, ident],
+        "after-identity": [ident, bad],
+        # the order fails first, but every row is checked before that is raised
+        "after-an-order-error": [ident, (0, 0, 0), bad],
+    }[place]
+    with pytest.raises(expected.type) as got:
+        FiniteMonoid(3, rows, {})
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("odd", [(0.0, 0, 0), (True, 0, 0)], ids=["float-zero", "true"])
+def test_constructor_accepts_what_check_row_accepts(odd):
+    check_row(3, odd)
+    assert FiniteMonoid(3, [odd, (1, 2, 3)], {}).rows[0] == odd
 
 
 @pytest.mark.parametrize("n, maps", [(4, 209), (5, 1546)])
@@ -327,6 +375,27 @@ def test_product_table_reads_no_generators(n):
         tables.append(product_table(m))
     assert tables[0] == tables[1] == tables[2]
     assert_table_is_exact(m)
+
+
+def test_product_table_composes_three_rows(monkeypatch):
+    # one itemgetter per composed row; every other row is derived
+    composed = []
+
+    def counting_itemgetter(*items):
+        composed.append(items)
+        return itemgetter(*items)
+
+    for n in range(3, 8):
+        m = build_by_restrictions(n)
+        u = units(m)
+        monkeypatch.setattr(cycliso.monoid, "itemgetter", counting_itemgetter)
+        product_table(m)
+        assert len(composed) == 3, n
+        composed.clear()
+        product_table(u)
+        assert len(composed) == 2, n
+        composed.clear()
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("generators", ["rotation", "none", "empty_map"])
