@@ -25,7 +25,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 
 from .congruence import (
     BudgetExceededError,
@@ -118,14 +118,18 @@ def cmd_enumerate(args):
     if args.method == "bruteforce" and args.n > BRUTEFORCE_BOUND:
         raise UsageError(f"n={args.n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
     monoid = BUILDERS[args.method](args.n)
-    # the bytes of json.dumps(a.to_json(), separators=(",", ":")), per element,
-    # built by map and zip alone, so no Python frame runs per line
+    # the bytes of json.dumps(a.to_json(), separators=(",", ":")), per element
     label = tuple(map(str, range(args.n + 1)))
-    rows = monoid.rows
-    doms = map(",".join, map(compress, repeat(label[1:]), rows))
-    imgs = map(",".join, map(map, repeat(label.__getitem__), map(filter, repeat(None), rows)))
-    line = '{"n":%d,"dom":[%%s],"img":[%%s]}\n' % args.n
-    lines = map(line.__mod__, zip(doms, imgs))
+    points = label[1:]
+    lines = (
+        '{"n":%d,"dom":[%s],"img":[%s]}\n'
+        % (
+            args.n,
+            ",".join(compress(points, row)),
+            ",".join(map(label.__getitem__, filter(None, row))),
+        )
+        for row in monoid.rows
+    )
     with _output(args.out) as fh:
         # in batches: neither the whole text nor one write per line
         for batch in iter(lambda: "".join(islice(lines, ENUMERATE_BATCH)), ""):

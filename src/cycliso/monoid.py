@@ -19,7 +19,7 @@ The element count has a closed form split by parity, ``cardinality_formula``.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, compress, pairwise, permutations, starmap
+from itertools import combinations, pairwise, permutations, starmap
 from operator import itemgetter, lt
 
 from .dihedral import DihedralElement, group_elements
@@ -69,26 +69,9 @@ class FiniteMonoid:
     def __init__(self, n, rows, generators):
         self.n = n
         self.rows = tuple(map(tuple, rows))
-        points = range(1, n + 1)
-        images = frozenset(points)
-
-        def checked_key(row):
-            # canonical_key(row), checking the row on the way: bytes() takes
-            # integers in 0..255 only, and the nonzero ones must lie in 1..n,
-            # each once.  A row that fails goes to check_row, which raises
-            # as it always has, or passes a row it accepts (True for 1).
-            try:
-                img = set(bytes(row))
-            except (TypeError, ValueError):
-                img = {None}  # fails the subset test
-            img.discard(0)
-            dom = tuple(compress(points, row))
-            if len(row) != n or len(img) != len(dom) or not img <= images:
-                check_row(n, row)
-            return len(dom), dom, row
-
-        # min, not all: every row is checked before an order error is raised
-        if not min(starmap(lt, pairwise(map(checked_key, self.rows))), default=True):
+        for row in self.rows:
+            check_row(n, row)
+        if not all(starmap(lt, pairwise(map(canonical_key, self.rows)))):
             raise ValueError("rows not in strictly increasing canonical order")
         if PartialPerm.identity(n) not in self:
             raise ValueError("identity map missing")
