@@ -15,14 +15,16 @@ Subcommands:
   presentation.
 - ``tietze``: cross-derivability of the two presentations.
 
-Exit codes: 0 all checks passed, 1 a verification failed or an
-internal error, 2 a bad command line (refused before any work), 3
-enumeration hit its slot budget (inconclusive).
+Exit codes: 0 all checks passed, 1 a verification failed, an internal
+error or output that could not be written, 2 a bad command line
+(refused before any work), 3 enumeration hit its slot budget
+(inconclusive; every such command prints ``{"n", "verdict", "detail"}``).
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from itertools import compress, islice
@@ -245,11 +247,7 @@ def cmd_present_verify(args):
         },
         args.out,
     )
-    if report.verdict == "defines":
-        return EXIT_OK
-    if report.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def cmd_lemmas(args):
@@ -351,9 +349,8 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args):
+    """The command's exit code, with its inconclusive and error outcomes."""
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -364,4 +361,20 @@ def main(argv=None):
         return EXIT_USAGE
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        if sys.stdout is sys.__stdout__:  # the stream flushed at exit
+            sys.stdout.flush()  # so a reader that went away shows here
+        return code
+    except BrokenPipeError:
+        # as in the Python docs' SIGPIPE note: the flush at exit must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -7,9 +7,10 @@ some rotation of it is weakly ascending (resp. descending).  A partial
 injection is *oriented* when its image sequence, read along the
 ascending domain, is cyclic or anti-cyclic.
 
-Sequences of length <= 2 are both cyclic and anti-cyclic, as is any
-injective sequence of length 3 (one of the three strict comparisons is
-alone in its direction).  The classes first separate at length 4.
+Sequences of length <= 2 are both cyclic and anti-cyclic.  An injective
+sequence of length 3 is exactly one of the two: (1, 2, 3) is cyclic only
+and (1, 3, 2) anti-cyclic only.  Sequences that are neither, such as
+(1, 3, 2, 4), first appear at length 4.
 """
 
 from dataclasses import dataclass

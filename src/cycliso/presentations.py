@@ -244,9 +244,9 @@ class SatisfactionReport:
 def aligned_images(presentation, images=None):
     """The generator assignment as a tuple aligned with the alphabet.
 
-    `images` may be a sequence aligned with the alphabet or a mapping
-    from letter name to partial permutation; by default the canonical
-    assignment is used.
+    `images` may be a sequence aligned with the alphabet, one image per
+    letter, or a mapping from letter name to partial permutation; by
+    default the canonical assignment is used.
     """
     if images is None:
         return canonical_images(presentation)
@@ -255,7 +255,10 @@ def aligned_images(presentation, images=None):
             return tuple(images[name] for name in presentation.alphabet)
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} unassigned") from None
-    return tuple(images)
+    images = tuple(images)
+    if len(images) != len(presentation.alphabet):
+        raise ValueError(f"{len(images)} images for {len(presentation.alphabet)} letters")
+    return images
 
 
 def check_satisfaction(presentation, images=None):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -198,7 +199,12 @@ def test_present_verify_inconclusive_exit_code(capsys):
         capsys, "present", "verify", "--n", "3", "--which", "R", "--max-slots", "5"
     )
     assert code == 3
-    assert json.loads(out)["verdict"] == "inconclusive"
+    obj = json.loads(out)
+    assert set(obj) == {"n", "verdict", "detail"}
+    assert obj["verdict"] == "inconclusive"
+    assert "budget 5" in obj["detail"] and "slots swept" in obj["detail"]
+    # the same report as every other command that runs out of budget
+    assert run(capsys, "tietze", "--n", "3", "--max-slots", "5")[:2] == (code, out)
 
 
 def test_present_verify_deterministic_modulo_wall_time(capsys):
@@ -284,3 +290,36 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "3,34,34,true" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["enumerate --n 10", "tietze --n 3"])
+def test_a_closed_pipe_ends_quietly(command):
+    # With stdout block-buffered, the large output fails inside a write and
+    # the small one in the flush; the reader is gone before either starts.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycliso", *command.split()],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == ""
+
+
+def test_output_that_cannot_be_written_is_a_one_line_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycliso", "green", "--n", "5", "--relation", "J",
+         "--out", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(target) in proc.stderr

@@ -13,9 +13,11 @@ from cycliso import (
     canonical_images,
     cardinality_formula,
     check_consequence,
+    check_satisfaction,
     check_tietze_bridge,
     enumerate_quotient,
     evaluate,
+    standard_generators,
     verify_defines,
 )
 from cycliso.congruence import DEFAULT_BUDGET_FACTOR, CongruenceTable, class_rows
@@ -157,10 +159,10 @@ def test_verify_defines_differs_without_the_gluing_family():
 
 def test_verify_defines_inconclusive_on_tiny_budget():
     m = build_by_restrictions(3)
-    report = verify_defines(build_R(3), m, max_slots=10)
-    assert report.verdict == "inconclusive"
-    assert report.quotient_size is None
-    assert report.slots_used == 10
+    with pytest.raises(BudgetExceededError) as info:
+        verify_defines(build_R(3), m, max_slots=10)
+    assert info.value.slots_used == 10
+    assert info.value.max_slots == 10
 
 
 def test_verify_defines_rejects_bad_assignment():
@@ -189,6 +191,22 @@ def test_verify_defines_rejects_assignments_that_prove_nothing(
     images = None if image is None else (image,) * 3
     with pytest.raises(ValueError, match=message):
         verify_defines(build_Q(4), build_by_restrictions(monoid_n), images=images)
+
+
+@pytest.mark.parametrize("check", [check_satisfaction, verify_defines])
+@pytest.mark.parametrize("count", ["too-many", "too-few"])
+def test_image_sequence_must_match_the_alphabet(check, count):
+    # Unchecked, extra images pass check_satisfaction unread and crash
+    # verify_defines in class_rows; a missing one fails only where a
+    # relation uses it.
+    p = build_R(3)
+    if count == "too-many":
+        images = (PartialPerm.identity(3),) * 5 + tuple(standard_generators(3).values())
+    else:
+        images = canonical_images(p)[:-1]
+    args = (p, build_by_restrictions(3)) if check is verify_defines else (p,)
+    with pytest.raises(ValueError, match=f"{len(images)} images for 5 letters"):
+        check(*args, images=images)
 
 
 def test_duplicate_relations_do_not_change_the_result():

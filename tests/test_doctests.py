@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import cycliso.congruence
 import cycliso.cycle
@@ -21,3 +22,10 @@ def test_module_doctests():
         result = doctest.testmod(mod, verbose=False)
         assert result.failed == 0, mod.__name__
         assert result.attempted > 0, mod.__name__
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False, verbose=False)
+    assert result.failed == 0
+    assert result.attempted > 0

@@ -47,7 +47,9 @@ def test_short_and_constant_sequences_are_both():
 
 def test_injective_length_three_is_always_oriented():
     for seq in permutations((1, 4, 6)):
-        assert classify_sequence(seq).oriented
+        s = classify_sequence(seq)
+        assert s.oriented
+        assert s.cyclic != s.anticyclic, seq
 
 
 def test_classifier_matches_rotation_oracle():
