@@ -31,6 +31,7 @@ from .monoid import (
     cardinality_formula,
     monoid_closure,
     rank_search,
+    restriction_layout,
     standard_generators,
     units,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "monoid_closure",
     "rank_search",
     "relation_count_formula",
+    "restriction_layout",
     "standard_generators",
     "substitute",
     "units",

@@ -28,6 +28,7 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import compress, islice
+from operator import itemgetter
 
 from .congruence import (
     BudgetExceededError,
@@ -37,6 +38,7 @@ from .congruence import (
     verify_defines,
 )
 from .cycle import CycleMetric
+from .dihedral import group_elements
 from .green import ORACLE_SIZE_BOUND, green_J, green_LRH, green_oracle
 from .monoid import (
     BRUTEFORCE_BOUND,
@@ -46,6 +48,7 @@ from .monoid import (
     build_by_restrictions,
     cardinality_formula,
     rank_search,
+    restriction_layout,
 )
 from .presentations import absorption_relation_suites, build_Q, build_R
 
@@ -116,22 +119,47 @@ def _emit(obj, out):
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _layout_lines(n):
+    """The lines of ``build_by_restrictions(n)``, from its layout."""
+    label = tuple(map(str, range(n + 1)))
+    # images[k][x] is the label of symmetry k's image of point x, and
+    # images[k][0] is a "" that every gather ends with: one index alone
+    # would give a bare "12", joined as "1,2" (the empty domain gathers
+    # the bare "", which joins to "" as well)
+    images = [
+        ("",) + tuple(map(label.__getitem__, e.to_partial_perm().row))
+        for e in group_elements(n)
+    ]
+    for dom, ks in restriction_layout(n):
+        prefix = '{"n":%d,"dom":[%s],"img":[' % (n, ",".join(map(label.__getitem__, dom)))
+        gather = itemgetter(*dom, 0)
+        for k in ks:
+            yield prefix + ",".join(gather(images[k])[:-1]) + "]}\n"
+
+
+def _row_lines(n, rows):
+    """The lines of a monoid's rows, one row at a time."""
+    label = tuple(map(str, range(n + 1)))
+    points = label[1:]
+    for row in rows:
+        yield '{"n":%d,"dom":[%s],"img":[%s]}\n' % (
+            n,
+            ",".join(compress(points, row)),
+            ",".join(map(label.__getitem__, filter(None, row))),
+        )
+
+
 def cmd_enumerate(args):
     if args.method == "bruteforce" and args.n > BRUTEFORCE_BOUND:
         raise UsageError(f"n={args.n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
     monoid = BUILDERS[args.method](args.n)
-    # the bytes of json.dumps(a.to_json(), separators=(",", ":")), per element
-    label = tuple(map(str, range(args.n + 1)))
-    points = label[1:]
-    lines = (
-        '{"n":%d,"dom":[%s],"img":[%s]}\n'
-        % (
-            args.n,
-            ",".join(compress(points, row)),
-            ",".join(map(label.__getitem__, filter(None, row))),
-        )
-        for row in monoid.rows
-    )
+    # each line has the bytes of json.dumps(a.to_json(), separators=(",", ":"))
+    if args.method == "restrictions":
+        # the monoid checked the rows the layout gives; print from the layout
+        del monoid
+        lines = _layout_lines(args.n)
+    else:
+        lines = _row_lines(args.n, monoid.rows)
     with _output(args.out) as fh:
         # in batches: neither the whole text nor one write per line
         for batch in iter(lambda: "".join(islice(lines, ENUMERATE_BATCH)), ""):

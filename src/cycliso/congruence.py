@@ -38,7 +38,9 @@ monoid: the canonical generator assignment makes the monoid a quotient
 of the presented one, so equality of (finite) sizes pins them equal.
 """
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .monoid import cardinality_formula
@@ -140,6 +142,18 @@ def sweep_ops(relations):
     return ops, len(child) + 1
 
 
+@contextmanager
+def _gc_paused():
+    """Cyclic garbage collection off for the block, then as the caller had it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def enumerate_quotient(presentation, max_slots=None):
     """Enumerate the monoid the presentation defines; see module notes.
 
@@ -178,69 +192,72 @@ def enumerate_quotient(presentation, max_slots=None):
         rows.append([-1] * width)
         return t
 
-    s = 0
-    while s < len(parent):
-        if parent[s] != s:
-            s += 1
-            continue
-        at[0] = s
-        for node, src, a in ops:
-            if node >= 0:
-                # step: follow letter a from the class of at[src],
-                # defining the edge as a new slot if it is missing
-                cur = at[src]
-                if parent[cur] != cur:
-                    cur = find(cur)
-                row = rows[cur]
-                t = row[a]
-                if t == -1:
-                    t = row[a] = define()
-                elif parent[t] != t:
-                    t = row[a] = find(t)
-                at[node] = t
+    # the rows are lists, so the cyclic collector would walk the growing
+    # table again and again; they form no cycles, so it waits for the end
+    with _gc_paused():
+        s = 0
+        while s < len(parent):
+            if parent[s] != s:
+                s += 1
                 continue
-            # check: the relation's two ends must be one class
-            x = at[src]
-            if parent[x] != x:
-                x = find(x)
-            y = at[a]
-            if parent[y] != y:
-                y = find(y)
-            if x == y:
-                continue
-            pending = [x, y]
-            while pending:
-                y = pending.pop()
-                if parent[y] != y:
-                    y = find(y)
-                x = pending.pop()
+            at[0] = s
+            for node, src, a in ops:
+                if node >= 0:
+                    # step: follow letter a from the class of at[src],
+                    # defining the edge as a new slot if it is missing
+                    cur = at[src]
+                    if parent[cur] != cur:
+                        cur = find(cur)
+                    row = rows[cur]
+                    t = row[a]
+                    if t == -1:
+                        t = row[a] = define()
+                    elif parent[t] != t:
+                        t = row[a] = find(t)
+                    at[node] = t
+                    continue
+                # check: the relation's two ends must be one class
+                x = at[src]
                 if parent[x] != x:
                     x = find(x)
+                y = at[a]
+                if parent[y] != y:
+                    y = find(y)
                 if x == y:
                     continue
-                if y < x:
-                    x, y = y, x
-                parent[y] = x
-                merges += 1
-                row = rows[x]
-                for k, t in enumerate(rows[y]):
-                    if t != -1:
-                        u = row[k]
-                        if u == -1:
-                            row[k] = t
-                        else:
-                            pending += (u, t)
-                rows[y] = None  # a merged slot is never read again
-            if parent[s] != s:
-                # s was absorbed by a smaller slot, which was already
-                # swept in full while live; nothing left to do here.
-                break
-        if parent[s] == s:
-            row = rows[s]
-            for a in range(width):
-                if row[a] == -1:
-                    row[a] = define()
-        s += 1
+                pending = [x, y]
+                while pending:
+                    y = pending.pop()
+                    if parent[y] != y:
+                        y = find(y)
+                    x = pending.pop()
+                    if parent[x] != x:
+                        x = find(x)
+                    if x == y:
+                        continue
+                    if y < x:
+                        x, y = y, x
+                    parent[y] = x
+                    merges += 1
+                    row = rows[x]
+                    for k, t in enumerate(rows[y]):
+                        if t != -1:
+                            u = row[k]
+                            if u == -1:
+                                row[k] = t
+                            else:
+                                pending += (u, t)
+                    rows[y] = None  # a merged slot is never read again
+                if parent[s] != s:
+                    # s was absorbed by a smaller slot, which was already
+                    # swept in full while live; nothing left to do here.
+                    break
+            if parent[s] == s:
+                row = rows[s]
+                for a in range(width):
+                    if row[a] == -1:
+                        row[a] = define()
+            s += 1
 
     live = [i for i in range(len(parent)) if parent[i] == i]
     number = {old: new for new, old in enumerate(live)}

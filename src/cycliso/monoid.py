@@ -4,8 +4,9 @@ Three independent construction routes are kept deliberately separate so
 they can cross-check one another:
 
 - ``build_by_restrictions``: restrict each of the 2n cycle symmetries to
-  every subset of the vertices, domain by domain in canonical order (the
-  characterization route; fast, the default).
+  every subset of the vertices, domain by domain in canonical order, as
+  ``restriction_layout`` lists them (the characterization route; fast,
+  the default).
 - ``build_by_closure``: generate from {g, h, e_n} by right multiplication
   (the rank-3 route).
 - ``build_by_bruteforce``: filter every injective partial map through the
@@ -31,6 +32,7 @@ __all__ = [
     "standard_generators",
     "closure_rows",
     "monoid_closure",
+    "restriction_layout",
     "build_by_restrictions",
     "build_by_closure",
     "build_by_bruteforce",
@@ -187,29 +189,66 @@ def monoid_closure(n, gens):
     return [PartialPerm(n, row) for row in closure_rows(n, gen_rows)]
 
 
-def build_by_restrictions(n):
-    """Every restriction of every cycle symmetry; the reference builder.
+def restriction_layout(n):
+    """The elements as (domain, symmetries): the restriction theorem as a layout.
 
-    Emits the elements domain by domain in canonical order: domains by
-    rank, then lexicographically, and for each domain the distinct
-    restrictions of the 2n symmetries in row order.  That order needs no
-    sort per domain.  Let d0 be the least point of the domain and d1 the
-    least domain point that is neither d0 nor antipodal to d0.  A
-    symmetry is fixed by its images of d0 and d1, and its image of the
-    antipode of d0 follows from that of d0, so the 2n restrictions are
-    distinct and in row order when the symmetries are ordered by their
-    images of (d0, d1).  Without a d1 (a single point or an antipodal
-    pair) the image of d0 fixes the restriction, and one symmetry per
-    image of d0 gives the n distinct ones.  Only the pair (d0, d1)
-    matters, so each of the at most n^2 orders is formed once per call.
+    Yields ``(dom, ks)`` for each domain in canonical order: by rank,
+    then lexicographically, starting with the empty domain.  ``dom`` is
+    a tuple of points (1..n); ``ks`` holds the ordinals, numbered as in
+    ``group_elements(n)``, of symmetries whose restrictions to ``dom``
+    are the distinct elements with that domain, in row order.
+
+    That order needs no set and no sort per domain.  Let d0 be the least
+    point of the domain and d1 the least domain point that is neither d0
+    nor antipodal to d0.  A symmetry is fixed by its images of d0 and
+    d1, and its image of the antipode of d0 follows from that of d0, so
+    the 2n restrictions are distinct and in row order when the
+    symmetries are ordered by their images of (d0, d1).  Without a d1 (a
+    single point or an antipodal pair) the image of d0 fixes the
+    restriction, and the n rotations give the n distinct ones.  The
+    empty domain has one element, given by the identity.  Only the pair
+    (d0, d1) matters, so each of the at most n^2 orders is formed once
+    per call, and domains with the same pair share it.
 
     For even n, d1 is not simply the second point: on the 6-cycle the
     domain {1, 4, 5} has 4 antipodal to 1, so d1 = 5, and the two
     symmetries sending 1 to 1 (and so 4 to 4) are told apart at 5:
 
-    >>> m = build_by_restrictions(6)
-    >>> [a.to_json()["img"] for a in m if a.domain() == (1, 4, 5)][:4]
+    >>> ks = dict(restriction_layout(6))[1, 4, 5]
+    >>> [[group_elements(6)[k].act(x) for x in (1, 4, 5)] for k in ks][:4]
     [[1, 4, 3], [1, 4, 5], [2, 5, 4], [2, 5, 6]]
+    >>> layout = restriction_layout(3)
+    >>> [next(layout) for _ in range(3)]
+    [((), (0,)), ((1,), (0, 1, 2)), ((2,), (2, 0, 1))]
+    """
+    _check_n(n)
+    # a leading 0, so images[k][x] is the image of point x
+    images = [(0,) + e.to_partial_perm().row for e in group_elements(n)]
+    symmetries = range(2 * n)
+    antipode_gap = n // 2 if n % 2 == 0 else None
+    orders = {}
+    yield (), (0,)
+    for rank in range(1, n + 1):
+        for dom in combinations(range(1, n + 1), rank):
+            d0 = dom[0]
+            # d0 is the least point, so its antipode, if any, is d0 + n/2
+            d1 = next((d for d in dom[1:] if d - d0 != antipode_gap), None)
+            order = orders.get((d0, d1))
+            if order is None:
+                if d1 is None:
+                    # the rotations, ordinals 0..n-1, send d0 to each point once
+                    order = sorted(range(n), key=lambda k: images[k][d0])
+                else:
+                    order = sorted(symmetries, key=lambda k: (images[k][d0], images[k][d1]))
+                order = orders[d0, d1] = tuple(order)
+            yield dom, order
+
+
+def build_by_restrictions(n):
+    """Every restriction of every cycle symmetry; the reference builder.
+
+    Gathers each row of ``restriction_layout(n)`` from its symmetry's
+    total row, so the rows arrive in canonical order with no sort.
 
     >>> m = build_by_restrictions(4)
     >>> len(m)
@@ -218,28 +257,14 @@ def build_by_restrictions(n):
     ({'n': 4, 'dom': [], 'img': []}, {'n': 4, 'dom': [1], 'img': [1]})
     """
     _check_n(n)
-    # a trailing 0 for the slots off the domain to gather
-    totals = [e.to_partial_perm().row + (0,) for e in group_elements(n)]
-    antipode_gap = n // 2 if n % 2 == 0 else None
-    orders = {}
-    rows = [(0,) * n]
-    for k in range(1, n + 1):
-        for dom in combinations(range(n), k):
-            d0 = dom[0]
-            # d0 is the least point, so its antipode, if any, is d0 + n/2
-            d1 = next((d for d in dom[1:] if d - d0 != antipode_gap), None)
-            order = orders.get((d0, d1))
-            if order is None:
-                if d1 is None:
-                    one_each = {total[d0]: total for total in totals}
-                    order = sorted(one_each.values(), key=itemgetter(d0))
-                else:
-                    order = sorted(totals, key=itemgetter(d0, d1))
-                orders[d0, d1] = order
-            idx = [n] * n
-            for i in dom:
-                idx[i] = i
-            rows.extend(map(itemgetter(*idx), order))
+    # a leading 0 for the slots off the domain to gather
+    totals = [(0,) + e.to_partial_perm().row for e in group_elements(n)]
+    rows = []
+    for dom, ks in restriction_layout(n):
+        idx = [0] * n
+        for x in dom:
+            idx[x - 1] = x
+        rows.extend(map(itemgetter(*idx), map(totals.__getitem__, ks)))
     return FiniteMonoid(n, rows, standard_generators(n))
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from cycliso import build_by_restrictions, build_R, cardinality_formula
+import cycliso.monoid
 from cycliso import cli
 from cycliso.cli import BUILDERS, main
 
@@ -91,8 +92,13 @@ def test_enumerate_methods_agree(capsys):
     assert by_restriction == by_closure == by_scan
 
 
-@pytest.mark.parametrize("method", ["restrictions", "closure", "bruteforce"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "n, method",
+    [(n, method) for n in [3, 4, 5, 6] for method in ["restrictions", "closure", "bruteforce"]]
+    # two-digit labels: rank-1 domains on points >= 10, and at n=10 the
+    # antipodal pairs, each line gathered from one symmetry's labels
+    + [(10, "restrictions"), (11, "restrictions")],
+)
 def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
     code, out, _ = run(capsys, "enumerate", "--n", str(n), "--method", method)
     assert code == 0
@@ -100,6 +106,16 @@ def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
     assert out == "".join(
         json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m
     )
+
+
+def test_enumerate_checks_the_monoid_before_it_prints(monkeypatch, capsys):
+    def rejects(n, row):
+        raise ValueError("row rejected")
+
+    monkeypatch.setattr(cycliso.monoid, "check_row", rejects)
+    code, out, err = run(capsys, "enumerate", "--n", "5")
+    assert code == 1 and out == ""
+    assert err == "internal error: row rejected\n"
 
 
 def test_enumerate_writes_in_batches(monkeypatch):

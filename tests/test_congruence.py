@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from collections import deque
 
@@ -71,6 +72,20 @@ def test_merged_rows_are_freed():
         tracemalloc.stop()
     assert table.size == cardinality_formula(7)
     assert peak < table.slots_used * table.width * 8
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_the_sweep_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert enumerate_quotient(build_R(4)).size == cardinality_formula(4)
+        assert gc.isenabled() is enabled
+        with pytest.raises(BudgetExceededError):
+            enumerate_quotient(build_R(4), 200)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_budget_validation():

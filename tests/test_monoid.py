@@ -21,6 +21,7 @@ from cycliso import (
     idempotent,
     monoid_closure,
     rank_search,
+    restriction_layout,
     standard_generators,
     units,
 )
@@ -136,6 +137,19 @@ def restriction_rows_by_sorting(n):
 @pytest.mark.parametrize("n", range(3, 14))
 def test_restrictions_in_d0_d1_order_match_the_sorted_sets(n):
     assert list(build_by_restrictions(n).rows) == restriction_rows_by_sorting(n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_the_layout_gives_the_checked_rows(n):
+    symmetries = group_elements(n)
+    rows = build_by_restrictions(n).rows
+    at = 0
+    for dom, ks in restriction_layout(n):
+        for k in ks:
+            row = tuple(symmetries[k].act(x) if x in dom else 0 for x in range(1, n + 1))
+            assert rows[at] == row, (dom, k)
+            at += 1
+    assert at == len(rows)
 
 
 def test_generators_are_elements():
