@@ -33,6 +33,21 @@ the queue is processed in, and its representatives are the least ids,
 so ``slots_used`` and ``merges`` (= ``slots_used`` minus the size, on a
 closed table) are fixed by the sweep order alone.
 
+Each call turns the ops into straight-line Python (``sweep_source``),
+compiled once and run at every live slot: a trie node is a local
+variable, a letter an integer literal, and the slot's own row is read
+once.  Only a merge kills a slot, so a node set by a step after the
+last check is still live and is used without a ``find``; so is the
+swept slot, since the sweep leaves it as soon as a check merges it
+away.  Missing edges and dead targets, the rare case, go to a helper
+that defines or finds.  The ops are cut into functions of at least
+``CHUNK_OPS`` ops, each ending at a check, because the compiler's
+transient memory grows with the size of one function: a single function
+for R at n=7 peaks at more than twice the memory of the enumeration.
+Nodes that a later chunk reads are handed over in a list.  The compiled
+code takes the same steps and checks in the same order as the ops, so
+it defines the same slots.
+
 Used to machine-check that a presentation defines a given finite
 monoid: the canonical generator assignment makes the monoid a quotient
 of the presented one, so equality of (finite) sizes pins them equal.
@@ -41,7 +56,8 @@ of the presented one, so equality of (finite) sizes pins them equal.
 import gc
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import index
 
 from .monoid import cardinality_formula
 from .presentations import (
@@ -67,12 +83,13 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET_FACTOR = 64  # default max slots per element of the presented monoid
+CHUNK_OPS = 32  # sweep ops per compiled function, at least; see module notes
 
 
 class BudgetExceededError(RuntimeError):
     """The slot budget ran out before the table closed: inconclusive."""
 
-    def __init__(self, max_slots, slots_used, merges, swept):
+    def __init__(self, max_slots, slots_used, merges, swept, peak_live=None):
         super().__init__(
             f"inconclusive (budget): {slots_used} slots created, "
             f"budget {max_slots}, {merges} merges, {swept} slots swept"
@@ -81,6 +98,7 @@ class BudgetExceededError(RuntimeError):
         self.slots_used = slots_used
         self.merges = merges
         self.swept = swept
+        self.peak_live = peak_live
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,9 @@ class CongruenceTable:
 
     ``edges`` is flat, ``edges[s * width + a]`` being the class of
     (word of s) followed by letter a.  Slot 0 is the class of the empty
-    word.  ``slots_used`` and ``merges`` record how hard the run was.
+    word.  ``slots_used``, ``merges`` and ``peak_live``, the most slots
+    live at once, record how hard the run was; ``peak_live`` is left out
+    of comparisons, and None where no sweep recorded it.
     """
 
     alphabet: tuple
@@ -97,6 +117,7 @@ class CongruenceTable:
     edges: tuple
     slots_used: int
     merges: int
+    peak_live: int = field(default=None, compare=False)
 
     @property
     def width(self):
@@ -118,7 +139,8 @@ def sweep_ops(relations):
     Node 0 of the trie is the empty word.  Walking u, then v, for each
     relation in order emits ``(node, from_node, letter)`` for every new
     node, and ``(-1, end_u, end_v)`` after each relation.  Returns the
-    ops and the number of nodes.
+    ops and the number of nodes.  Letters are taken through
+    ``operator.index``, so the ops hold ints only.
 
     >>> sweep_ops([((0, 0, 0), ())])
     ([(1, 0, 0), (2, 1, 0), (3, 2, 0), (-1, 3, 0)], 4)
@@ -131,7 +153,7 @@ def sweep_ops(relations):
         ends = []
         for word in (u, v):
             node = 0
-            for a in word:
+            for a in map(index, word):
                 nxt = child.get((node, a))
                 if nxt is None:
                     nxt = child[node, a] = len(child) + 1
@@ -154,6 +176,92 @@ def _gc_paused():
             gc.enable()
 
 
+def sweep_source(ops, width):
+    """Python source for the sweep at one slot: one function per chunk.
+
+    Each chunk is the text of a function ``chunk(s, rs)`` of the live slot
+    s and its row; it returns True if s merged away, and the last chunk
+    ends by defining every missing edge of s.  Trie node k is the local
+    ``nk``, and its row is ``rk`` while it is known to be live.  A node
+    that a later chunk reads goes through ``at[k]``.
+
+    >>> print(sweep_source([(1, 0, 0), (2, 1, 0), (3, 2, 0), (-1, 3, 0)], 1)[0])
+    def chunk(s, rs):
+        n1 = rs[0]
+        if parent[n1] != n1: n1 = fix(rs, 0)
+        r1 = rows[n1]
+        n2 = r1[0]
+        if parent[n2] != n2: n2 = fix(r1, 0)
+        r2 = rows[n2]
+        n3 = r2[0]
+        if parent[n3] != n3: n3 = fix(r2, 0)
+        if n3 != s:
+            merge(n3, s)
+            if parent[s] != s: return True
+        if rs[0] == -1: fix(rs, 0)
+    """
+    chunks = [[]]
+    for op in ops:
+        if len(chunks[-1]) >= CHUNK_OPS and chunks[-1][-1][0] < 0:
+            chunks.append([])
+        chunks[-1].append(op)
+    sets = [{op[0] for op in chunk if op[0] >= 0} for chunk in chunks]
+    # a node is set before it is read, so what a chunk reads and does not
+    # set, an earlier chunk set
+    needs = [
+        {k for op in chunk for k in (op[1:] if op[0] < 0 else op[1:2])} - sets[i] - {0}
+        for i, chunk in enumerate(chunks)
+    ]
+    handed = set().union(*needs)
+
+    sources = []
+    for i, chunk in enumerate(chunks):
+        lines = ["def chunk(s, rs):"]
+        lines += [f"    n{k:d} = at[{k:d}]" for k in sorted(needs[i])]
+        live = set()  # nodes set since the last check: only a merge kills
+        rowed = set()  # live nodes whose row is in rk
+
+        def slot(k):
+            if k == 0:
+                return "s"
+            if k not in live:
+                lines.append(f"    if parent[n{k:d}] != n{k:d}: n{k:d} = find(n{k:d})")
+                live.add(k)
+            return f"n{k:d}"
+
+        for node, src, a in chunk:
+            if node < 0:  # check: merge the ends of one relation
+                x, y = slot(src), slot(a)
+                if x != y:
+                    lines.append(f"    if {x} != {y}:")
+                    lines.append(f"        merge({x}, {y})")
+                    lines.append("        if parent[s] != s: return True")
+                    live.clear()
+                    rowed.clear()
+                continue
+            # step; a missing edge reads -1, and parent[-1] is never -1, so
+            # one test sends both a missing edge and a dead target to fix
+            if src == 0:
+                row = "rs"
+            else:
+                row = f"r{src:d}"
+                if src not in rowed:
+                    lines.append(f"    {row} = rows[{slot(src)}]")
+                    rowed.add(src)
+            lines.append(f"    n{node:d} = {row}[{a:d}]")
+            lines.append(
+                f"    if parent[n{node:d}] != n{node:d}: n{node:d} = fix({row}, {a:d})"
+            )
+            live.add(node)
+        lines += [f"    at[{k:d}] = n{k:d}" for k in sorted(sets[i] & handed)]
+        if i == len(chunks) - 1:
+            lines += [
+                f"    if rs[{a:d}] == -1: fix(rs, {a:d})" for a in range(width)
+            ]
+        sources.append("\n".join(lines))
+    return sources
+
+
 def enumerate_quotient(presentation, max_slots=None):
     """Enumerate the monoid the presentation defines; see module notes.
 
@@ -173,10 +281,12 @@ def enumerate_quotient(presentation, max_slots=None):
     # the sweep linear in the number of distinct relations.
     ops, nodes = sweep_ops(dict.fromkeys(presentation.relations))
 
+    blank = [-1] * width
     rows = [[-1] * width]  # rows[s][a]: the edge of slot s by letter a
     parent = [0]
     merges = 0
-    at = [0] * nodes  # at[node]: a slot in the class of (word of s)(node's word)
+    peak_live = 0  # the most live slots before any merge so far
+    at = [0] * nodes  # at[node]: a node's slot, handed to a later chunk
 
     def find(x):
         while parent[x] != x:
@@ -184,79 +294,78 @@ def enumerate_quotient(presentation, max_slots=None):
             x = parent[x]
         return x
 
-    def define():  # a new slot, with no edges yet
+    def fix(row, a):  # the edge by a, to a live slot, defined if missing
+        t = row[a]
+        if t != -1:
+            t = row[a] = find(t)
+            return t
         t = len(parent)
         if t >= max_slots:
-            raise BudgetExceededError(max_slots, t, merges, s)
+            raise BudgetExceededError(
+                max_slots, t, merges, s, max(peak_live, t - merges)
+            )
         parent.append(t)
         rows.append([-1] * width)
+        row[a] = t
         return t
+
+    def merge(x, y):  # two live slots of different classes, and the closure
+        nonlocal merges, peak_live
+        # live slots only grow between merges, so they peak just before one
+        live = len(parent) - merges
+        if live > peak_live:
+            peak_live = live
+        pending = []
+        while True:
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            merges += 1
+            moved = rows[y]
+            rows[y] = None  # a merged slot is never read again
+            if moved != blank:
+                row = rows[x]
+                for k, t in enumerate(moved):
+                    if t != -1:
+                        u = row[k]
+                        if u == -1:
+                            row[k] = t
+                        elif u != t:
+                            pending += (u, t)
+            while pending:
+                y = pending.pop()
+                if parent[y] != y:
+                    y = find(y)
+                x = pending.pop()
+                if parent[x] != x:
+                    x = find(x)
+                if x != y:
+                    break
+            else:
+                return
+
+    namespace = {
+        "parent": parent, "rows": rows, "at": at,
+        "find": find, "fix": fix, "merge": merge,
+    }
+    chunks = []
+    for source in sweep_source(ops, width):
+        exec(compile(source, "<sweep>", "exec"), namespace)
+        # popped, so that no cycle holds the table: chunk -> globals -> chunk
+        chunks.append(namespace.pop("chunk"))
 
     # the rows are lists, so the cyclic collector would walk the growing
     # table again and again; they form no cycles, so it waits for the end
     with _gc_paused():
         s = 0
         while s < len(parent):
-            if parent[s] != s:
-                s += 1
-                continue
-            at[0] = s
-            for node, src, a in ops:
-                if node >= 0:
-                    # step: follow letter a from the class of at[src],
-                    # defining the edge as a new slot if it is missing
-                    cur = at[src]
-                    if parent[cur] != cur:
-                        cur = find(cur)
-                    row = rows[cur]
-                    t = row[a]
-                    if t == -1:
-                        t = row[a] = define()
-                    elif parent[t] != t:
-                        t = row[a] = find(t)
-                    at[node] = t
-                    continue
-                # check: the relation's two ends must be one class
-                x = at[src]
-                if parent[x] != x:
-                    x = find(x)
-                y = at[a]
-                if parent[y] != y:
-                    y = find(y)
-                if x == y:
-                    continue
-                pending = [x, y]
-                while pending:
-                    y = pending.pop()
-                    if parent[y] != y:
-                        y = find(y)
-                    x = pending.pop()
-                    if parent[x] != x:
-                        x = find(x)
-                    if x == y:
-                        continue
-                    if y < x:
-                        x, y = y, x
-                    parent[y] = x
-                    merges += 1
-                    row = rows[x]
-                    for k, t in enumerate(rows[y]):
-                        if t != -1:
-                            u = row[k]
-                            if u == -1:
-                                row[k] = t
-                            else:
-                                pending += (u, t)
-                    rows[y] = None  # a merged slot is never read again
-                if parent[s] != s:
-                    # s was absorbed by a smaller slot, which was already
-                    # swept in full while live; nothing left to do here.
-                    break
             if parent[s] == s:
-                row = rows[s]
-                for a in range(width):
-                    if row[a] == -1:
-                        row[a] = define()
+                rs = rows[s]
+                for chunk in chunks:
+                    if chunk(s, rs):
+                        # s was absorbed by a smaller slot, which was already
+                        # swept in full while live; nothing left to do here.
+                        break
             s += 1
 
     live = [i for i in range(len(parent)) if parent[i] == i]
@@ -275,6 +384,7 @@ def enumerate_quotient(presentation, max_slots=None):
         edges=tuple(renumbered()),
         slots_used=len(parent),
         merges=merges,
+        peak_live=max(peak_live, len(parent) - merges),
     )
 
 

@@ -19,6 +19,7 @@ left to right.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 from .monoid import _check_n, standard_generators
 from .partial_perm import PartialPerm, idempotent
@@ -42,7 +43,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite monoid presentation with per-relation family labels."""
+    """A finite monoid presentation with per-relation family labels.
+
+    Letters are integer indices into the alphabet:
+
+    >>> Presentation("C", 3, ("g",), (((0, 0, 0), ()),), ("pow",)).relations
+    (((0, 0, 0), ()),)
+    >>> Presentation("x", 3, ("a", "b"), (((1.0,), ()),), ("",))
+    Traceback (most recent call last):
+        ...
+    ValueError: letter 1.0 is not an integer index
+    """
 
     name: str
     n: int
@@ -56,6 +67,10 @@ class Presentation:
         width = len(self.alphabet)
         for lhs, rhs in self.relations:
             for a in (*lhs, *rhs):
+                try:
+                    index(a)
+                except TypeError:
+                    raise ValueError(f"letter {a!r} is not an integer index") from None
                 if not 0 <= a < width:
                     raise ValueError(f"letter index {a} outside the alphabet")
 

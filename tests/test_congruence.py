@@ -47,6 +47,7 @@ def test_free_monoid_exhausts_budget():
     # slots 0..48 each defined their successor; slot 49 could not
     assert info.value.swept == 49
     assert info.value.merges == 0
+    assert info.value.peak_live == 50  # nothing merged: every slot is live
     assert "inconclusive" in str(info.value)
     assert "49 slots swept" in str(info.value)
 
@@ -367,28 +368,31 @@ def outcome(enumerate_fn, presentation, max_slots):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("which", ["R", "Q"])
-def test_sweep_matches_the_reference_slot_for_slot(which, n):
+def test_sweep_matches_the_reference_slot_for_slot(tables, which, n):
     pres = build_R(n) if which == "R" else build_Q(n)
     size = cardinality_formula(n)
-    for budget in (1, 50, 1000, size, 64 * size):
+    # one below the closed run's count refuses the run's last definition
+    last = tables(which, n).slots_used - 1
+    for budget in (1, 50, 1000, size, last, 64 * size):
         got = outcome(enumerate_quotient, pres, budget)
         assert got == outcome(reference_enumerate, pres, budget), budget
+        assert isinstance(got, CongruenceTable) == (budget > last), budget
         if isinstance(got, CongruenceTable):
             assert got.merges == got.slots_used - got.size
 
 
 @pytest.mark.parametrize(
-    "which, n, slots_used, merges",
+    "which, n, slots_used, merges, peak_live",
     [
-        ("R", 6, 7122, 6419),
-        ("Q", 6, 8394, 7691),
-        ("R", 8, 51535, 47550),
-        ("Q", 8, 65200, 61215),
+        pytest.param("R", 6, 7122, 6419, 1320, id="R-6-7122-6419"),
+        pytest.param("Q", 6, 8394, 7691, 3058, id="Q-6-8394-7691"),
+        pytest.param("R", 8, 51535, 47550, 7793, id="R-8-51535-47550"),
+        pytest.param("Q", 8, 65200, 61215, 18090, id="Q-8-65200-61215"),
     ],
 )
-def test_sweep_counters(tables, which, n, slots_used, merges):
+def test_sweep_counters(tables, which, n, slots_used, merges, peak_live):
     t = tables(which, n)
-    assert (t.slots_used, t.merges) == (slots_used, merges)
+    assert (t.slots_used, t.merges, t.peak_live) == (slots_used, merges, peak_live)
     assert t.size == cardinality_formula(n)
 
 

@@ -7,6 +7,7 @@ import cycliso.green
 import cycliso.monoid
 import cycliso.orientation
 import cycliso.partial_perm
+import cycliso.presentations
 
 
 def test_module_doctests():
@@ -17,6 +18,7 @@ def test_module_doctests():
         cycliso.green,
         cycliso.monoid,
         cycliso.orientation,
+        cycliso.presentations,
     ):
         # verbose defaults to ("-v" in sys.argv), which pytest -v would trip
         result = doctest.testmod(mod, verbose=False)

@@ -183,3 +183,12 @@ def test_presentation_validation():
         build_R(2)
     with pytest.raises(ValueError):
         relation_count_formula("Z", 4)
+
+
+@pytest.mark.parametrize("letter", [1.0, "a"], ids=["float", "str"])
+def test_letters_must_be_integers(letter):
+    # the range check alone lets a float through, which the sweep would use
+    # as a list index, and fails a string with TypeError
+    with pytest.raises(ValueError, match="not an integer index"):
+        Presentation("x", 3, ("a", "b"), (((letter,), ()),), ("",))
+    assert Presentation("x", 3, ("a", "b"), (((True,), ()),), ("",)).relations
