@@ -38,7 +38,7 @@ from .congruence import (
     verify_defines,
 )
 from .cycle import CycleMetric
-from .dihedral import group_elements
+from .dihedral import symmetry_rows
 from .green import ORACLE_SIZE_BOUND, green_J, green_LRH, green_oracle
 from .monoid import (
     BRUTEFORCE_BOUND,
@@ -121,15 +121,12 @@ def _emit(obj, out):
 
 def _layout_lines(n):
     """The lines of ``build_by_restrictions(n)``, from its layout."""
-    label = tuple(map(str, range(n + 1)))
-    # images[k][x] is the label of symmetry k's image of point x, and
-    # images[k][0] is a "" that every gather ends with: one index alone
-    # would give a bare "12", joined as "1,2" (the empty domain gathers
-    # the bare "", which joins to "" as well)
-    images = [
-        ("",) + tuple(map(label.__getitem__, e.to_partial_perm().row))
-        for e in group_elements(n)
-    ]
+    # label[0] is "", so images[k][x] is the label of symmetry k's image
+    # of point x, and images[k][0] is a "" that every gather ends with:
+    # one index alone would give a bare "12", joined as "1,2" (the empty
+    # domain gathers the bare "", which joins to "" as well)
+    label = ("",) + tuple(map(str, range(1, n + 1)))
+    images = [tuple(map(label.__getitem__, row)) for row in symmetry_rows(n)]
     for dom, ks in restriction_layout(n):
         prefix = '{"n":%d,"dom":[%s],"img":[' % (n, ",".join(map(label.__getitem__, dom)))
         gather = itemgetter(*dom, 0)

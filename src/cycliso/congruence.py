@@ -128,7 +128,9 @@ class CongruenceTable:
         cur = 0
         width = self.width
         edges = self.edges
-        for a in word:
+        for a in map(index, word):
+            if not 0 <= a < width:
+                raise ValueError(f"letter index {a} outside 0..{width - 1}")
             cur = edges[cur * width + a]
         return cur
 

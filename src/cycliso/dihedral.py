@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .partial_perm import PartialPerm
 
-__all__ = ["DihedralElement", "group_elements", "extensions_of"]
+__all__ = ["DihedralElement", "group_elements", "symmetry_rows", "mask_images", "extensions_of"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,34 @@ def group_elements(n):
     return tuple(
         DihedralElement(n, r, k) for r in (0, 1) for k in range(n)
     )
+
+
+def symmetry_rows(n):
+    """The 2n symmetries as total rows, numbered as in ``group_elements(n)``.
+
+    Each row has a leading 0, so ``symmetry_rows(n)[k][x]`` is the image
+    of point x under symmetry k.
+
+    >>> symmetry_rows(3)
+    [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1), (0, 1, 3, 2), (0, 2, 1, 3)]
+    """
+    return [(0,) + e.to_partial_perm().row for e in group_elements(n)]
+
+
+def mask_images(n, mask):
+    """The images of a vertex mask under the 2n symmetries, numbered as in
+    ``group_elements(n)``.  Bit x - 1 of a mask stands for point x.
+
+    g^k sends bit b to bit (b + k) mod n, a left rotation by k, and
+    h g^k sends it to bit (k - 1 - b) mod n: the bit reversal, then the
+    same rotation.
+
+    >>> [format(m, "04b") for m in mask_images(4, 0b0011)]
+    ['0011', '0110', '1100', '1001', '1100', '1001', '0011', '0110']
+    """
+    full = (1 << n) - 1
+    rev = sum(1 << (n - 1 - x) for x in range(n) if mask >> x & 1)
+    return [(x << k | x >> (n - k)) & full for x in (mask, rev) for k in range(n)]
 
 
 def extensions_of(metric, a):

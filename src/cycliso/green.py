@@ -14,11 +14,13 @@ Two routes, kept independent on purpose:
 The two must produce identical partitions; tests enforce that.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
 
+from .dihedral import mask_images
 from .monoid import product_table
 
 __all__ = ["GreenClasses", "green_LRH", "green_J", "green_oracle"]
@@ -41,10 +43,7 @@ class GreenClasses:
         return frozenset(frozenset(c) for c in self.classes)
 
     def class_sizes_histogram(self):
-        hist = {}
-        for c in self.classes:
-            hist[len(c)] = hist.get(len(c), 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(map(len, self.classes)).items()))
 
 
 def _group_by(keyed):
@@ -70,8 +69,7 @@ def _image_masks(m):
 def _orbit_keys(n):
     """key[mask]: the least mask in the dihedral orbit of ``mask``.
 
-    The orbit is the n cyclic shifts of the mask and of its bit
-    reversal, i.e. the images of the point set under the 2n symmetries.
+    The orbit is the images of the point set under the 2n symmetries.
     Masks are visited in increasing order, so the first one met in an
     orbit is its least member.
 
@@ -80,15 +78,11 @@ def _orbit_keys(n):
     >>> len(set(_orbit_keys(6)))  # binary bracelets of length 6
     13
     """
-    full = (1 << n) - 1
     key = [None] * (1 << n)
     for mask in range(1 << n):
-        if key[mask] is not None:
-            continue
-        rev = int(format(mask, f"0{n}b")[::-1], 2)
-        for x in (mask, rev):
-            for k in range(n):
-                key[(x << k | x >> (n - k)) & full] = mask
+        if key[mask] is None:
+            for image in mask_images(n, mask):
+                key[image] = mask
     return key
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, pairwise, permutations, starmap
 from operator import itemgetter, lt
 
-from .dihedral import DihedralElement, group_elements
+from .dihedral import DihedralElement, symmetry_rows
 from .partial_perm import PartialPerm, canonical_key, check_row, idempotent
 
 __all__ = [
@@ -195,7 +195,7 @@ def restriction_layout(n):
     Yields ``(dom, ks)`` for each domain in canonical order: by rank,
     then lexicographically, starting with the empty domain.  ``dom`` is
     a tuple of points (1..n); ``ks`` holds the ordinals, numbered as in
-    ``group_elements(n)``, of symmetries whose restrictions to ``dom``
+    ``symmetry_rows(n)``, of symmetries whose restrictions to ``dom``
     are the distinct elements with that domain, in row order.
 
     That order needs no set and no sort per domain.  Let d0 be the least
@@ -215,15 +215,14 @@ def restriction_layout(n):
     symmetries sending 1 to 1 (and so 4 to 4) are told apart at 5:
 
     >>> ks = dict(restriction_layout(6))[1, 4, 5]
-    >>> [[group_elements(6)[k].act(x) for x in (1, 4, 5)] for k in ks][:4]
+    >>> [[symmetry_rows(6)[k][x] for x in (1, 4, 5)] for k in ks][:4]
     [[1, 4, 3], [1, 4, 5], [2, 5, 4], [2, 5, 6]]
     >>> layout = restriction_layout(3)
     >>> [next(layout) for _ in range(3)]
     [((), (0,)), ((1,), (0, 1, 2)), ((2,), (2, 0, 1))]
     """
     _check_n(n)
-    # a leading 0, so images[k][x] is the image of point x
-    images = [(0,) + e.to_partial_perm().row for e in group_elements(n)]
+    images = symmetry_rows(n)
     symmetries = range(2 * n)
     antipode_gap = n // 2 if n % 2 == 0 else None
     orders = {}
@@ -257,8 +256,8 @@ def build_by_restrictions(n):
     ({'n': 4, 'dom': [], 'img': []}, {'n': 4, 'dom': [1], 'img': [1]})
     """
     _check_n(n)
-    # a leading 0 for the slots off the domain to gather
-    totals = [(0,) + e.to_partial_perm().row for e in group_elements(n)]
+    # the leading 0 of each row is gathered for the points off the domain
+    totals = symmetry_rows(n)
     rows = []
     for dom, ks in restriction_layout(n):
         idx = [0] * n

@@ -110,7 +110,7 @@ class PartialPerm:
     # -- queries -----------------------------------------------------
 
     def __getitem__(self, x):
-        y = self.row[x - 1]
+        y = self.row[x - 1] if 1 <= x <= self.n else 0
         if y == 0:
             raise KeyError(f"{x} not in domain")
         return y

@@ -138,6 +138,20 @@ def test_check_consequence(tables):
     assert not check_consequence(t, (g,), (h,))
 
 
+def test_trace_rejects_letters_outside_the_alphabet(tables):
+    # a letter past the row once read the next slot's edges: (3,) landed
+    # in the class of (0, 0) and (-1,) in a slot of the last row
+    t = tables("Q", 3)
+    assert t.width == 3
+    for bad in ((3,), (-1,), (0, 0, 3)):
+        with pytest.raises(ValueError):
+            t.trace(bad)
+        with pytest.raises(ValueError):
+            check_consequence(t, bad, (0, 0))
+    with pytest.raises(TypeError):
+        t.trace((1.0,))
+
+
 def test_consequences_respect_evaluation(tables):
     # sound: words identified by the table evaluate to the same map
     t = tables("R", 4)

@@ -1,7 +1,7 @@
 import pytest
 
 from cycliso import CycleMetric, PartialPerm, extensions_of, group_elements
-from cycliso.dihedral import DihedralElement
+from cycliso.dihedral import DihedralElement, mask_images, symmetry_rows
 
 
 def test_act_examples():
@@ -72,6 +72,24 @@ def test_to_partial_perm():
     maps = {e.to_partial_perm() for e in group_elements(5)}
     assert len(maps) == 10
     assert all(a.is_total for a in maps)
+
+
+def test_symmetry_rows_match_act():
+    for n in range(3, 11):
+        rows = symmetry_rows(n)
+        assert len(rows) == 2 * n
+        for row, e in zip(rows, group_elements(n)):
+            assert row == (0,) + tuple(e.act(x) for x in range(1, n + 1)), (n, e)
+
+
+def test_mask_images_match_act():
+    # bit x - 1 of a mask stands for point x
+    for n in range(3, 11):
+        elems = group_elements(n)
+        for mask in range(1 << n):
+            points = [x for x in range(1, n + 1) if mask >> (x - 1) & 1]
+            expected = [sum(1 << (e.act(x) - 1) for x in points) for e in elems]
+            assert mask_images(n, mask) == expected, (n, mask)
 
 
 def test_to_partial_perm_is_a_homomorphism():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import cycliso.congruence
 import cycliso.cycle
+import cycliso.dihedral
 import cycliso.green
 import cycliso.monoid
 import cycliso.orientation
@@ -15,6 +16,7 @@ def test_module_doctests():
         cycliso.partial_perm,
         cycliso.congruence,
         cycliso.cycle,
+        cycliso.dihedral,
         cycliso.green,
         cycliso.monoid,
         cycliso.orientation,

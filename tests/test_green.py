@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from cycliso import (
     units,
 )
 from cycliso import green
+from cycliso.dihedral import mask_images, symmetry_rows
 
 
 def class_of(classes, m, a):
@@ -155,6 +157,30 @@ def test_J_class_count_is_binary_bracelets():
     assert counts == [4, 6, 8, 13, 18, 30, 46, 78, 126, 224]
     for n, count in zip(range(3, 13), counts):
         assert green_J(build_by_restrictions(n), CycleMetric(n)).class_count == count
+
+
+def test_class_sizes_match_stabiliser_closed_forms():
+    # D_n acts on the vertex masks.  With Fix(A) the pointwise and
+    # Stab(A) the setwise stabiliser of A, 2n/|Fix(A)| symmetries differ
+    # on A, so that many elements have domain A (an R class) or image A
+    # (an L class).  The maps from A onto one B in its orbit are an H
+    # class of |Stab(A)|/|Fix(A)| elements, and a J class is one orbit.
+    for n in range(3, 12):
+        rows = symmetry_rows(n)
+        lr, h, j = Counter(), Counter(), Counter()
+        for mask in range(1 << n):
+            points = [x for x in range(1, n + 1) if mask >> (x - 1) & 1]
+            fix = sum(all(row[x] == x for x in points) for row in rows)
+            images = mask_images(n, mask)
+            orbit = len(set(images))
+            lr[2 * n // fix] += 1
+            h[images.count(mask) // fix] += orbit
+            if mask == min(images):
+                j[orbit * 2 * n // fix] += 1
+        m = build_by_restrictions(n)
+        for relation, expected in (("L", lr), ("R", lr), ("H", h)):
+            assert green_LRH(m, relation).class_sizes_histogram() == dict(expected), n
+        assert green_J(m, CycleMetric(n)).class_sizes_histogram() == dict(j), n
 
 
 def test_J_rejects_metric_of_another_cycle():

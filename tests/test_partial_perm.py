@@ -125,6 +125,10 @@ def test_accessors():
     assert a[1] == 2
     with pytest.raises(KeyError):
         a[2]
+    b = pperm(4, {4: 2})
+    for x in (0, -1, 5):  # row[-1] once read as point 0
+        with pytest.raises(KeyError):
+            b[x]
     assert a.domain() == (1, 3)
     assert a.image() == (2, 4)
     assert a.rank == 2
