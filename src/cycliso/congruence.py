@@ -59,7 +59,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import index
 
-from .monoid import cardinality_formula
+from .monoid import cardinality_formula, closure_rows
 from .presentations import (
     aligned_images,
     build_Q,
@@ -399,31 +399,6 @@ def check_consequence(table, lhs, rhs):
     return table.trace(lhs) == table.trace(rhs)
 
 
-def class_rows(table, images):
-    """One product of the images for each class reached from class 0.
-
-    Breadth-first over the table from class 0, the empty word, whose
-    row is the identity: each newly reached class gets the row of the
-    class it was reached from times the image of the letter.  Every row
-    is a product of the images whatever the table says, so rows that
-    are |M| distinct elements of M prove that the images generate M.
-    """
-    padded = [(0,) + a.row for a in images]
-    width = table.width
-    edges = table.edges
-    rows = {0: tuple(range(1, images[0].n + 1))}
-    order = [0]
-    for c in order:
-        row = rows[c]
-        base = c * width
-        for a, image in enumerate(padded):
-            d = edges[base + a]
-            if d not in rows:
-                rows[d] = tuple(map(image.__getitem__, row))
-                order.append(d)
-    return rows
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     name: str
@@ -447,11 +422,13 @@ def verify_defines(presentation, monoid, images=None, max_slots=None):
     satisfy every relation, so that the submonoid they generate is a
     quotient of the presented monoid.  Then enumerates the presented
     monoid and compares cardinalities.  When the sizes are equal it also
-    requires the images to generate the whole monoid: only then do equal
-    finite sizes force the quotient map to be an isomorphism.  Unequal
-    sizes prove the two monoids differ whatever the images.  An assignment
-    that fails a requirement raises ValueError, and a slot budget that
-    runs out before the table closes raises BudgetExceededError.
+    requires the closure of the images, every product of them formed as
+    a row, to equal the monoid's rows; the check reads no table.  Only
+    then do equal finite sizes force the quotient map to be an
+    isomorphism.  Unequal sizes prove the two monoids differ whatever the
+    images.  An assignment that fails a requirement raises ValueError,
+    and a slot budget that runs out before the table closes raises
+    BudgetExceededError.
     """
     if presentation.n != monoid.n:
         raise ValueError(
@@ -474,7 +451,7 @@ def verify_defines(presentation, monoid, images=None, max_slots=None):
     if table.size == target:
         # Run after the enumeration so that its memory does not add to
         # the enumeration's peak.
-        if len(set(class_rows(table, images).values())) != target:
+        if set(closure_rows(monoid.n, [a.row for a in images])) != set(monoid.rows):
             raise ValueError("the images do not generate the monoid")
         verdict = "defines"
     else:

@@ -116,7 +116,11 @@ def mask_images(n, mask):
     >>> [format(m, "04b") for m in mask_images(4, 0b0011)]
     ['0011', '0110', '1100', '1001', '1100', '1001', '0011', '0110']
     """
+    if n < 3:
+        raise ValueError(f"dihedral symmetries need n >= 3, got {n}")
     full = (1 << n) - 1
+    if not 0 <= mask <= full:
+        raise ValueError(f"mask {mask!r} outside 0..{full}")
     rev = sum(1 << (n - 1 - x) for x in range(n) if mask >> x & 1)
     return [(x << k | x >> (n - k)) & full for x in (mask, rev) for k in range(n)]
 

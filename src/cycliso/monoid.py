@@ -386,8 +386,7 @@ def rank_search(m, exhaustive_pairs=False):
     n = m.n
     size = len(m)
     rows = m.rows
-    triple = closure_rows(n, [a.row for a in m.generators.values()])
-    triple_ok = len(triple) == size and set(triple) == set(rows)
+    triple_ok = set(closure_rows(n, [a.row for a in m.generators.values()])) == set(rows)
 
     if not exhaustive_pairs or n > PAIR_SEARCH_BOUND:
         return RankReport(n, size, triple_ok, None, None, (), ())

@@ -114,6 +114,9 @@ class Presentation:
         rels = []
         labels = []
         for item in obj["relations"]:
+            for x in (*item["lhs"], *item["rhs"]):
+                if x not in pos:
+                    raise ValueError(f"letter {x!r} is not in the alphabet")
             rels.append(
                 (
                     tuple(pos[x] for x in item["lhs"]),
@@ -306,6 +309,8 @@ def substitute(word, table):
     """
     out = []
     for a in word:
+        if not 0 <= a < len(table):
+            raise ValueError(f"letter index {a} outside 0..{len(table) - 1}")
         out.extend(table[a])
     return tuple(out)
 

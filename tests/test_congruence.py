@@ -6,6 +6,7 @@ import pytest
 
 from cycliso import (
     BudgetExceededError,
+    FiniteMonoid,
     PartialPerm,
     Presentation,
     build_by_restrictions,
@@ -18,11 +19,12 @@ from cycliso import (
     check_tietze_bridge,
     enumerate_quotient,
     evaluate,
+    rank_search,
     standard_generators,
     verify_defines,
 )
-from cycliso.congruence import DEFAULT_BUDGET_FACTOR, CongruenceTable, class_rows
-from cycliso.monoid import closure_rows
+from cycliso.congruence import DEFAULT_BUDGET_FACTOR, CongruenceTable
+from cycliso.partial_perm import canonical_key
 from conftest import drop_family
 
 
@@ -223,12 +225,25 @@ def test_verify_defines_rejects_assignments_that_prove_nothing(
         verify_defines(build_Q(4), build_by_restrictions(monoid_n), images=images)
 
 
+@pytest.mark.parametrize("build", [build_Q, build_R], ids=["Q", "R"])
+def test_verify_defines_rejects_a_monoid_that_is_not_closed(build):
+    # 97 rows, sorted and distinct, but one is not an isometry: the
+    # presented size matches and the images lie in it and satisfy every
+    # relation, yet what they generate is M_4, not these rows.
+    rows = list(build_by_restrictions(4).rows)
+    rows[rows.index((1, 2, 0, 0))] = (1, 3, 0, 0)
+    m = FiniteMonoid(4, sorted(rows, key=canonical_key), standard_generators(4))
+    assert not rank_search(m).triple_generates
+    with pytest.raises(ValueError, match="do not generate"):
+        verify_defines(build(4), m)
+
+
 @pytest.mark.parametrize("check", [check_satisfaction, verify_defines])
 @pytest.mark.parametrize("count", ["too-many", "too-few"])
 def test_image_sequence_must_match_the_alphabet(check, count):
-    # Unchecked, extra images pass check_satisfaction unread and crash
-    # verify_defines in class_rows; a missing one fails only where a
-    # relation uses it.
+    # Unchecked, extra images pass check_satisfaction unread, and
+    # verify_defines would count their products as generated by the
+    # letters; a missing one fails only where a relation uses it.
     p = build_R(3)
     if count == "too-many":
         images = (PartialPerm.identity(3),) * 5 + tuple(standard_generators(3).values())
@@ -425,26 +440,3 @@ def test_budget_error_reports_how_far_the_sweep_got(presentation, budget, swept,
     exc = info.value
     assert (exc.slots_used, exc.merges, exc.swept) == (budget, merges, swept)
     assert f"{swept} slots swept" in str(exc)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-@pytest.mark.parametrize("which", ["R", "Q"])
-def test_class_rows_agree_with_the_closure(tables, which, n):
-    pres = build_R(n) if which == "R" else build_Q(n)
-    images = canonical_images(pres)
-    rows = set(class_rows(tables(which, n), images).values())
-    closure = closure_rows(n, [a.row for a in images])
-    assert rows == set(closure)
-    assert len(rows) == len(closure) == cardinality_formula(n)
-
-
-def test_class_rows_of_images_that_do_not_generate(tables):
-    table = tables("Q", 4)
-    images = (PartialPerm.identity(4),) * 3
-    rows = set(class_rows(table, images).values())
-    assert rows == set(closure_rows(4, [a.row for a in images]))
-    assert len(rows) == 1 < table.size
-    # rows come from products, not from the table: a table whose every
-    # edge leads back to class 0 reaches one class and proves nothing
-    stuck = CongruenceTable(table.alphabet, table.size, (0,) * len(table.edges), 0, 0)
-    assert len(class_rows(stuck, canonical_images(build_Q(4)))) == 1

@@ -92,6 +92,18 @@ def test_mask_images_match_act():
             assert mask_images(n, mask) == expected, (n, mask)
 
 
+@pytest.mark.parametrize(
+    "n, mask, message",
+    [(4, 16, "outside 0..15"), (4, -1, "outside 0..15"), (2, 1, "need n >= 3")],
+    ids=["mask-above-range", "negative-mask", "n-below-3"],
+)
+def test_mask_images_validates_input(n, mask, message):
+    # unchecked, the bit arithmetic answers anyway: (4, 16) rotates as {1}
+    # and reflects as the empty set, and (4, -1) gives eight full masks
+    with pytest.raises(ValueError, match=message):
+        mask_images(n, mask)
+
+
 def test_to_partial_perm_is_a_homomorphism():
     for n in (3, 4, 6):
         for a in group_elements(n):

@@ -135,6 +135,13 @@ def test_json_round_trip():
         assert Presentation.from_json(obj) == pres
 
 
+def test_from_json_rejects_letters_outside_the_alphabet():
+    obj = build_Q(3).to_json()
+    obj["relations"][0]["rhs"] = ["b"]
+    with pytest.raises(ValueError, match="'b' is not in the alphabet"):
+        Presentation.from_json(obj)
+
+
 def test_substitutions_evaluate_consistently():
     # rewriting a word and evaluating must equal evaluating the original
     # under the substituted letters' own images
@@ -151,6 +158,13 @@ def test_substitutions_evaluate_consistently():
 
     word = (2, 0, 3)  # e_1 g e_2 over the wide alphabet
     assert evaluate(substitute(word, into_q), imgs_q) == evaluate(word, imgs_r)
+
+
+@pytest.mark.parametrize("letter", [-1, 5])
+def test_substitute_rejects_letters_outside_the_table(letter):
+    # unchecked, -1 reads the table from the end and gives e_3's word
+    with pytest.raises(ValueError, match="outside 0..4"):
+        substitute((letter,), r_to_q_substitution(3))
 
 
 def test_absorption_suite_shapes():
