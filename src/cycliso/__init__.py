@@ -6,106 +6,79 @@ an inverse monoid, and every one of them is a restriction of one of the
 by three independent routes, computes their Green's structure, and
 machine-checks two finite presentations for them (on n + 2 and on 3
 generators) by congruence enumeration.
+
+``import cycliso`` loads no submodule: each exported name imports its
+submodule on first use (PEP 562), so a command pays only for the
+modules it runs.
 """
 
-from .congruence import (
-    BridgeReport,
-    BudgetExceededError,
-    CongruenceTable,
-    VerifyReport,
-    check_consequence,
-    check_tietze_bridge,
-    enumerate_quotient,
-    verify_defines,
-)
-from .cycle import CycleMetric
-from .dihedral import DihedralElement, extensions_of, group_elements
-from .green import GreenClasses, green_J, green_LRH, green_oracle
-from .monoid import (
-    FiniteMonoid,
-    RankReport,
-    b2_set,
-    build_by_bruteforce,
-    build_by_closure,
-    build_by_restrictions,
-    cardinality_formula,
-    monoid_closure,
-    rank_search,
-    restriction_layout,
-    standard_generators,
-    units,
-)
-from .orientation import (
-    SequenceClass,
-    classify_sequence,
-    is_order_preserving,
-    is_order_reversing,
-    is_oriented,
-    is_orientation_preserving,
-    is_orientation_reversing,
-)
-from .partial_perm import PartialPerm, idempotent
-from .presentations import (
-    Presentation,
-    SatisfactionReport,
-    absorption_relation_suites,
-    build_Q,
-    build_R,
-    canonical_images,
-    check_satisfaction,
-    evaluate,
-    relation_count_formula,
-    substitute,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BridgeReport",
-    "BudgetExceededError",
-    "CongruenceTable",
-    "CycleMetric",
-    "DihedralElement",
-    "FiniteMonoid",
-    "GreenClasses",
-    "PartialPerm",
-    "Presentation",
-    "RankReport",
-    "SatisfactionReport",
-    "SequenceClass",
-    "VerifyReport",
-    "absorption_relation_suites",
-    "b2_set",
-    "build_Q",
-    "build_R",
-    "build_by_bruteforce",
-    "build_by_closure",
-    "build_by_restrictions",
-    "canonical_images",
-    "cardinality_formula",
-    "check_consequence",
-    "check_satisfaction",
-    "check_tietze_bridge",
-    "classify_sequence",
-    "enumerate_quotient",
-    "evaluate",
-    "extensions_of",
-    "green_J",
-    "green_LRH",
-    "green_oracle",
-    "group_elements",
-    "idempotent",
-    "is_order_preserving",
-    "is_order_reversing",
-    "is_oriented",
-    "is_orientation_preserving",
-    "is_orientation_reversing",
-    "monoid_closure",
-    "rank_search",
-    "relation_count_formula",
-    "restriction_layout",
-    "standard_generators",
-    "substitute",
-    "units",
-    "verify_defines",
-]
+# exported name -> the submodule that defines it
+_SUBMODULE = {
+    "BridgeReport": "congruence",
+    "BudgetExceededError": "congruence",
+    "CongruenceTable": "congruence",
+    "CycleMetric": "cycle",
+    "DihedralElement": "dihedral",
+    "FiniteMonoid": "monoid",
+    "GreenClasses": "green",
+    "PartialPerm": "partial_perm",
+    "Presentation": "presentations",
+    "RankReport": "monoid",
+    "SatisfactionReport": "presentations",
+    "SequenceClass": "orientation",
+    "VerifyReport": "congruence",
+    "absorption_relation_suites": "presentations",
+    "b2_set": "monoid",
+    "build_Q": "presentations",
+    "build_R": "presentations",
+    "build_by_bruteforce": "monoid",
+    "build_by_closure": "monoid",
+    "build_by_restrictions": "monoid",
+    "canonical_images": "presentations",
+    "cardinality_formula": "monoid",
+    "check_consequence": "congruence",
+    "check_satisfaction": "presentations",
+    "check_tietze_bridge": "congruence",
+    "classify_sequence": "orientation",
+    "enumerate_quotient": "congruence",
+    "evaluate": "presentations",
+    "extensions_of": "dihedral",
+    "green_J": "green",
+    "green_LRH": "green",
+    "green_oracle": "green",
+    "group_elements": "dihedral",
+    "idempotent": "partial_perm",
+    "is_order_preserving": "orientation",
+    "is_order_reversing": "orientation",
+    "is_oriented": "orientation",
+    "is_orientation_preserving": "orientation",
+    "is_orientation_reversing": "orientation",
+    "monoid_closure": "monoid",
+    "rank_search": "monoid",
+    "relation_count_formula": "presentations",
+    "restriction_layout": "monoid",
+    "standard_generators": "monoid",
+    "substitute": "presentations",
+    "units": "monoid",
+    "verify_defines": "congruence",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,7 +22,6 @@ error or output that could not be written, 2 a bad command line
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -30,16 +29,8 @@ from contextlib import contextmanager
 from itertools import compress, islice
 from operator import itemgetter
 
-from .congruence import (
-    BudgetExceededError,
-    check_consequence,
-    check_tietze_bridge,
-    enumerate_quotient,
-    verify_defines,
-)
-from .cycle import CycleMetric
+import cycliso
 from .dihedral import symmetry_rows
-from .green import ORACLE_SIZE_BOUND, green_J, green_LRH, green_oracle
 from .monoid import (
     BRUTEFORCE_BOUND,
     PAIR_SEARCH_BOUND,
@@ -50,7 +41,10 @@ from .monoid import (
     rank_search,
     restriction_layout,
 )
-from .presentations import absorption_relation_suites, build_Q, build_R
+
+# The commands that read congruences, presentations or Green's classes
+# import those modules in their handlers, so that `enumerate`, `count` and
+# `rank` start without them.
 
 __all__ = ["main"]
 
@@ -165,6 +159,8 @@ def cmd_enumerate(args):
 
 
 def cmd_count(args):
+    import csv
+
     rows = []
     mismatch = False
     for n in args.n:
@@ -183,6 +179,9 @@ def cmd_count(args):
 
 
 def cmd_green(args):
+    from .cycle import CycleMetric
+    from .green import ORACLE_SIZE_BOUND, green_J, green_LRH, green_oracle
+
     size = cardinality_formula(args.n)
     if args.verify_oracle and size > ORACLE_SIZE_BOUND:
         raise UsageError(f"|M| = {size} above oracle size bound {ORACLE_SIZE_BOUND}")
@@ -247,6 +246,8 @@ def cmd_rank(args):
 
 
 def _build_presentation(which, n):
+    from .presentations import build_Q, build_R
+
     return build_R(n) if which == "R" else build_Q(n)
 
 
@@ -256,6 +257,8 @@ def cmd_present_show(args):
 
 
 def cmd_present_verify(args):
+    from .congruence import verify_defines
+
     presentation = _build_presentation(args.which, args.n)
     monoid = build_by_restrictions(args.n)
     report = verify_defines(presentation, monoid, max_slots=args.max_slots)
@@ -276,6 +279,9 @@ def cmd_present_verify(args):
 
 
 def cmd_lemmas(args):
+    from .congruence import check_consequence, enumerate_quotient
+    from .presentations import absorption_relation_suites, build_R
+
     table = enumerate_quotient(build_R(args.n))
     suites = {}
     all_pass = True
@@ -291,6 +297,8 @@ def cmd_lemmas(args):
 
 
 def cmd_tietze(args):
+    from .congruence import check_tietze_bridge
+
     report = check_tietze_bridge(args.n, max_slots=args.max_slots)
     _emit(
         {
@@ -375,15 +383,19 @@ def build_parser():
 
 
 def _run(args):
-    """The command's exit code, with its inconclusive and error outcomes."""
+    """The command's exit code, with its inconclusive and error outcomes.
+
+    An except clause names its class only when an exception reaches it, so
+    ``cycliso.BudgetExceededError`` loads congruence.py no sooner than that.
+    """
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        _emit({"n": args.n, "verdict": "inconclusive", "detail": str(exc)}, args.out)
-        return EXIT_INCONCLUSIVE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except cycliso.BudgetExceededError as exc:
+        _emit({"n": args.n, "verdict": "inconclusive", "detail": str(exc)}, args.out)
+        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAIL

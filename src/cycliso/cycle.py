@@ -7,8 +7,17 @@ distance on every pair of points where it is defined.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 __all__ = ["CycleMetric"]
+
+
+def _integer(value, what):
+    """``operator.index(value)``; a non-integer raises ValueError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -18,12 +27,15 @@ class CycleMetric:
     n: int
 
     def __post_init__(self):
-        if self.n < 3:
+        if _integer(self.n, "vertex count") < 3:
             raise ValueError(f"cycle needs at least 3 vertices, got {self.n}")
 
-    def _check_point(self, x):
+    def _point(self, x):
+        """The vertex x as an int, checked to lie in 1..n."""
+        x = _integer(x, "vertex")
         if not 1 <= x <= self.n:
             raise ValueError(f"vertex {x!r} outside 1..{self.n}")
+        return x
 
     def distance(self, x, y):
         """Geodesic distance between vertices x and y.
@@ -31,9 +43,7 @@ class CycleMetric:
         >>> CycleMetric(5).distance(1, 4)
         2
         """
-        self._check_point(x)
-        self._check_point(y)
-        k = abs(x - y)
+        k = abs(self._point(x) - self._point(y))
         return min(k, self.n - k)
 
     def sphere(self, x, d):
@@ -42,7 +52,8 @@ class CycleMetric:
         Has two points except at the antipode of an even cycle, where it
         collapses to one.  Requires 1 <= d <= n/2.
         """
-        self._check_point(x)
+        x = self._point(x)
+        d = _integer(d, "radius")
         if not (1 <= d and 2 * d <= self.n):
             raise ValueError(f"radius {d!r} outside 1..{self.n}/2")
         a = (x - 1 + d) % self.n + 1

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from cycliso import build_by_restrictions, build_R, cardinality_formula
+import cycliso.congruence
 import cycliso.monoid
 from cycliso import cli
 from cycliso.cli import BUILDERS, main
@@ -292,7 +293,7 @@ def test_an_internal_error_is_not_a_usage_error(monkeypatch, capsys):
     def fails(presentation, monoid, max_slots=None):
         raise ValueError("the images do not generate the monoid")
 
-    monkeypatch.setattr(cli, "verify_defines", fails)
+    monkeypatch.setattr(cycliso.congruence, "verify_defines", fails)
     code, out, err = run(capsys, "present", "verify", "--n", "3", "--which", "R")
     assert code == 1 and out == ""
     assert err == "internal error: the images do not generate the monoid\n"
@@ -339,3 +340,48 @@ def test_output_that_cannot_be_written_is_a_one_line_error(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert str(target) in proc.stderr
+
+
+# modules that `enumerate`, `count` and `rank` never call, so a fresh
+# `import cycliso.cli` must leave them unloaded
+UNUSED_BY_SHORT_COMMANDS = {
+    "cycliso.congruence",
+    "cycliso.presentations",
+    "cycliso.green",
+    "cycliso.cycle",
+    "cycliso.orientation",
+}
+
+
+@pytest.mark.parametrize(
+    "args", [["-c", "import cycliso.cli"], ["-m", "cycliso", "count", "--n", "3"]]
+)
+def test_short_commands_leave_the_other_layers_unloaded(args):
+    # -X importtime writes one stderr line per module the process imports
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"cycliso", "cycliso.cli", "cycliso.monoid"} <= imported
+    assert imported.isdisjoint(UNUSED_BY_SHORT_COMMANDS)
+
+
+def test_an_exhausted_budget_in_a_fresh_process_is_inconclusive():
+    # the handler looks the exception class up only once congruence.py ran
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycliso", "present", "verify", "--n", "3",
+         "--which", "R", "--max-slots", "5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    obj = json.loads(proc.stdout)
+    assert obj.keys() == {"n", "verdict", "detail"}
+    assert obj["n"] == 3 and obj["verdict"] == "inconclusive"
+    assert obj["detail"].startswith("inconclusive (budget): 5 slots created, budget 5")

@@ -141,3 +141,22 @@ def test_is_partial_isometry_matches_pairwise_definition():
 def test_is_partial_isometry_size_mismatch():
     with pytest.raises(ValueError):
         CycleMetric(4).is_partial_isometry(PartialPerm.identity(5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CycleMetric(4.0),
+        lambda: CycleMetric("5"),
+        lambda: CycleMetric(5).distance(1, 2.5),
+        lambda: CycleMetric(5).distance(1.0, 2),
+        lambda: CycleMetric(5).sphere(1, 1.5),
+        lambda: CycleMetric(5).sphere(1.0, 1),
+    ],
+    ids=["n-float", "n-str", "vertex-fraction", "vertex-float", "radius-fraction", "centre-float"],
+)
+def test_non_integers_are_refused(call):
+    # before, CycleMetric(4.0).sphere(1, 1) gave (2.0, 4.0) and
+    # CycleMetric(5).distance(1, 2.5) gave 1.5
+    with pytest.raises(ValueError, match="is not an integer"):
+        call()
