@@ -11,28 +11,25 @@ on the right (h first, then the rotation):
 The multiplication rule follows from h g = g^(n-1) h.
 """
 
-from dataclasses import dataclass
-
 from .partial_perm import PartialPerm
+from .record import Record
 
 __all__ = ["DihedralElement", "group_elements", "symmetry_rows", "mask_images", "extensions_of"]
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(Record):
     """h^ref g^rot acting on the n-cycle; ref in {0,1}, 0 <= rot < n."""
 
-    n: int
-    ref: int
-    rot: int
+    __slots__ = ("n", "ref", "rot")
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"dihedral symmetries need n >= 3, got {self.n}")
-        if self.ref not in (0, 1):
-            raise ValueError(f"ref must be 0 or 1, got {self.ref!r}")
-        if not 0 <= self.rot < self.n:
-            raise ValueError(f"rot {self.rot!r} outside 0..{self.n - 1}")
+    def __init__(self, n, ref, rot):
+        if n < 3:
+            raise ValueError(f"dihedral symmetries need n >= 3, got {n}")
+        if ref not in (0, 1):
+            raise ValueError(f"ref must be 0 or 1, got {ref!r}")
+        if not 0 <= rot < n:
+            raise ValueError(f"rot {rot!r} outside 0..{n - 1}")
+        super().__init__(n, ref, rot)
 
     @classmethod
     def identity(cls, n):

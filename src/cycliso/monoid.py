@@ -13,18 +13,20 @@ they can cross-check one another:
   distance test (the definition route; exponential, small n only).
 
 Each route emits dense rows in canonical order, and a ``FiniteMonoid``
-checks that order (it never sorts) and holds the rows once, as one tuple;
-``PartialPerm`` objects are only views built when an element is read.
+checks that order (it never sorts) and holds the rows once, as one tuple
+of ``bytes`` (so n <= 255); ``PartialPerm`` objects are only views built
+when an element is read.  A product a * b is one C call,
+``a.translate(_table(b))``: b's row with a leading 0, padded to 256 bytes.
 The element count has a closed form split by parity, ``cardinality_formula``.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import combinations, pairwise, permutations, starmap
-from operator import itemgetter, lt
+from itertools import chain, combinations, pairwise, permutations, repeat, starmap
+from operator import lt
 
 from .dihedral import DihedralElement, symmetry_rows
-from .partial_perm import PartialPerm, canonical_key, check_row, idempotent
+from .partial_perm import PartialPerm, canonical_bytes_key, check_row, idempotent
+from .record import Record
 
 __all__ = [
     "FiniteMonoid",
@@ -53,15 +55,68 @@ def _check_n(n):
         raise ValueError(f"need an integer n >= 3, got {n!r}")
 
 
+def _check_byte_n(n):
+    if n > 255:
+        raise ValueError(f"rows as bytes need n <= 255, got {n}")
+
+
+def _table(row):
+    """The 256-byte table through which ``a.translate`` gives a * row.
+
+    Byte x of the table is the image of point x under row, byte 0 is 0
+    for the points off a's domain, and bytes above n are never read.
+    """
+    return (b"\0" + bytes(row)).ljust(256, b"\0")
+
+
+def _rows_pass(n, rows):
+    """Whether every bytes row passes ``check_row(n, row)``, checked in C."""
+    if not all(map(n.__eq__, map(len, rows))):
+        return False
+    # bytes.maketrans(row, zeros) is the identity table with 0 at each
+    # value of the row, so its zeros at 0..n count 0 and the distinct
+    # images in 1..n.  A row with z zeros has at most n - z of those, and
+    # exactly that many when its images are distinct and at most n; so
+    # the totals agree only when every row passes.
+    marked = map(bytes.maketrans, rows, repeat(bytes(n)))
+    present = sum(map(bytes.count, marked, repeat(0), repeat(0), repeat(n + 1)))
+    absent = sum(map(bytes.count, rows, repeat(0)))
+    return present - len(rows) == n * len(rows) - absent
+
+
+def _checked_rows(n, rows):
+    """The rows as a tuple of bytes, each checked as ``check_row`` checks it.
+
+    Only when a row will not convert, or fails the checks in C, are the
+    rows checked one by one, so that the first bad row raises just what
+    ``check_row`` raises for it.
+    """
+    rows = tuple(rows)
+    try:
+        if not set(map(type, rows)) <= {bytes}:
+            # tuple() first, since bytes(3) would be three zero bytes
+            rows = tuple(bytes(tuple(row)) for row in rows)
+        if _rows_pass(n, rows):
+            return rows
+    except (TypeError, ValueError):
+        pass
+    for row in rows:
+        check_row(n, row)
+    # every row passed, so only a zero such as 0.0 kept bytes() from it
+    return tuple(bytes(0 if y == 0 else y for y in row) for row in rows)
+
+
 class FiniteMonoid:
     """A finite monoid of partial permutations, closed under composition.
 
-    The elements are held once, as ``rows``: a tuple of dense rows in
-    canonical order (rank, then domain, then image row), in which the
-    rows must arrive, each once; the constructor checks this and never
-    sorts.  Indexing and iteration hand out ``PartialPerm`` views built
-    on access; membership is a binary search.  An instance holds only
-    ``n``, ``rows`` and ``generators`` and caches nothing.
+    The elements are held once, as ``rows``: a tuple of dense rows, each
+    n bytes, in canonical order (rank, then domain, then image row), in
+    which the rows must arrive, each once; the constructor checks this
+    and never sorts.  Rows may arrive as any sequences of ints and are
+    stored as bytes, so n is at most 255.  Indexing and iteration hand
+    out ``PartialPerm`` views built on access; membership is a binary
+    search.  An instance holds only ``n``, ``rows`` and ``generators``
+    and caches nothing.
 
     >>> FiniteMonoid(3, [(1, 2, 3), (1, 2, 0)], {})
     Traceback (most recent call last):
@@ -69,11 +124,10 @@ class FiniteMonoid:
     """
 
     def __init__(self, n, rows, generators):
+        _check_byte_n(n)
         self.n = n
-        self.rows = tuple(map(tuple, rows))
-        for row in self.rows:
-            check_row(n, row)
-        if not all(starmap(lt, pairwise(map(canonical_key, self.rows)))):
+        self.rows = _checked_rows(n, rows)
+        if not all(starmap(lt, pairwise(map(canonical_bytes_key, self.rows)))):
             raise ValueError("rows not in strictly increasing canonical order")
         if PartialPerm.identity(n) not in self:
             raise ValueError("identity map missing")
@@ -99,8 +153,9 @@ class FiniteMonoid:
     def __contains__(self, a):
         if not isinstance(a, PartialPerm) or a.n != self.n:
             return False
-        i = bisect_left(self.rows, a.sort_key(), key=canonical_key)
-        return i < len(self.rows) and self.rows[i] == a.row
+        row = bytes(a.row)
+        i = bisect_left(self.rows, canonical_bytes_key(row), key=canonical_bytes_key)
+        return i < len(self.rows) and self.rows[i] == row
 
 
 def product_table(m):
@@ -127,18 +182,17 @@ def product_table(m):
     >>> product_table(FiniteMonoid(3, m.rows, {})) == prod
     True
     """
-    # a * b has row b[a[x]]; a leading 0 sends undefined points to 0,
-    # and gathers at least two indices, so itemgetter returns a tuple
-    padded = [(0,) + row for row in m.rows]
-    index = {row: i for i, row in enumerate(padded)}
-    prod = [None] * len(padded)
+    rows = m.rows
+    index = {row: i for i, row in enumerate(rows)}
+    tables = list(map(_table, rows))
+    prod = [None] * len(rows)
     composed = []
     known = []
-    for i in reversed(range(len(padded))):
+    for i in reversed(range(len(rows))):
         if prod[i] is not None:
             continue
         try:
-            prod[i] = list(map(index.__getitem__, map(itemgetter(*padded[i]), padded)))
+            prod[i] = list(map(index.__getitem__, map(rows[i].translate, tables)))
         except KeyError:
             raise ValueError("not closed under composition") from None
         composed.append(prod[i])
@@ -163,20 +217,18 @@ def standard_generators(n):
 
 
 def closure_rows(n, gen_rows):
-    """Rows of the monoid the given rows generate, in discovery order.
+    """Rows of the monoid the given rows generate, as bytes, in discovery order.
 
     Breadth-first from the identity over right products by the
-    generators, each formed by the padded gather that ``product_table``
-    uses to compose a row.
+    generators, each one ``translate`` through a generator's table.
     """
-    padded_gens = [(0,) + row for row in gen_rows]
-    ident = tuple(range(1, n + 1))
+    _check_byte_n(n)
+    tables = list(map(_table, gen_rows))
+    ident = bytes(range(1, n + 1))
     order = [ident]
     seen = {ident}
     for r in order:
-        times = itemgetter(0, *r)
-        for g in padded_gens:
-            pr = times(g)[1:]
+        for pr in map(r.translate, tables):
             if pr not in seen:
                 seen.add(pr)
                 order.append(pr)
@@ -246,8 +298,9 @@ def restriction_layout(n):
 def build_by_restrictions(n):
     """Every restriction of every cycle symmetry; the reference builder.
 
-    Gathers each row of ``restriction_layout(n)`` from its symmetry's
-    total row, so the rows arrive in canonical order with no sort.
+    Reads each domain's partial identity through the tables of the
+    symmetries ``restriction_layout(n)`` lists for it, so the rows
+    arrive in canonical order with no sort, streamed into the monoid.
 
     >>> m = build_by_restrictions(4)
     >>> len(m)
@@ -256,14 +309,15 @@ def build_by_restrictions(n):
     ({'n': 4, 'dom': [], 'img': []}, {'n': 4, 'dom': [1], 'img': [1]})
     """
     _check_n(n)
-    # the leading 0 of each row is gathered for the points off the domain
-    totals = symmetry_rows(n)
-    rows = []
-    for dom, ks in restriction_layout(n):
-        idx = [0] * n
+    tables = [_table(row[1:]) for row in symmetry_rows(n)]
+
+    def restrictions(dom, ks):
+        ident = bytearray(n)
         for x in dom:
-            idx[x - 1] = x
-        rows.extend(map(itemgetter(*idx), map(totals.__getitem__, ks)))
+            ident[x - 1] = x
+        return map(bytes(ident).translate, map(tables.__getitem__, ks))
+
+    rows = chain.from_iterable(starmap(restrictions, restriction_layout(n)))
     return FiniteMonoid(n, rows, standard_generators(n))
 
 
@@ -272,7 +326,7 @@ def build_by_closure(n):
     _check_n(n)
     gens = standard_generators(n)
     rows = closure_rows(n, [a.row for a in gens.values()])
-    return FiniteMonoid(n, sorted(rows, key=canonical_key), gens)
+    return FiniteMonoid(n, sorted(rows, key=canonical_bytes_key), gens)
 
 
 def build_by_bruteforce(n):
@@ -290,7 +344,7 @@ def build_by_bruteforce(n):
             k = abs(x - y)
             half[x][y] = min(k, n - k)
     points = range(1, n + 1)
-    rows = [(0,) * n]
+    rows = [bytes(n)]
     for k in range(1, n + 1):
         for dom in combinations(points, k):
             for img in permutations(points, k):
@@ -308,7 +362,7 @@ def build_by_bruteforce(n):
                     row = [0] * n
                     for x, y in zip(dom, img):
                         row[x - 1] = y
-                    rows.append(tuple(row))
+                    rows.append(bytes(row))
     return FiniteMonoid(n, rows, standard_generators(n))
 
 
@@ -346,15 +400,16 @@ def units(m):
     return FiniteMonoid(m.n, filter(all, m.rows), gens)
 
 
-@dataclass(frozen=True)
-class RankReport:
-    n: int
-    size: int
-    triple_generates: bool
-    singles_checked: int | None
-    pairs_checked: int | None
-    generating_singles: tuple
-    generating_pairs: tuple
+class RankReport(Record):
+    __slots__ = (
+        "n",
+        "size",
+        "triple_generates",
+        "singles_checked",  # int or None
+        "pairs_checked",  # int or None
+        "generating_singles",
+        "generating_pairs",
+    )
 
     @property
     def pair_search_ran(self):
@@ -392,7 +447,7 @@ def rank_search(m, exhaustive_pairs=False):
         return RankReport(n, size, triple_ok, None, None, (), ())
 
     right = list(zip(*product_table(m)))
-    ident = rows.index(tuple(range(1, n + 1)))
+    ident = rows.index(bytes(range(1, n + 1)))
 
     def generates(i, j):
         a, b = right[i], right[j]

@@ -110,10 +110,10 @@ def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
 
 
 def test_enumerate_checks_the_monoid_before_it_prints(monkeypatch, capsys):
-    def rejects(n, row):
+    def rejects(n, rows):
         raise ValueError("row rejected")
 
-    monkeypatch.setattr(cycliso.monoid, "check_row", rejects)
+    monkeypatch.setattr(cycliso.monoid, "_checked_rows", rejects)
     code, out, err = run(capsys, "enumerate", "--n", "5")
     assert code == 1 and out == ""
     assert err == "internal error: row rejected\n"

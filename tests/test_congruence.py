@@ -231,7 +231,7 @@ def test_verify_defines_rejects_a_monoid_that_is_not_closed(build):
     # presented size matches and the images lie in it and satisfy every
     # relation, yet what they generate is M_4, not these rows.
     rows = list(build_by_restrictions(4).rows)
-    rows[rows.index((1, 2, 0, 0))] = (1, 3, 0, 0)
+    rows[rows.index(bytes((1, 2, 0, 0)))] = bytes((1, 3, 0, 0))
     m = FiniteMonoid(4, sorted(rows, key=canonical_key), standard_generators(4))
     assert not rank_search(m).triple_generates
     with pytest.raises(ValueError, match="do not generate"):

@@ -32,6 +32,21 @@ def test_normal_form_validation():
     assert DihedralElement.rotation(4, 7).rot == 3
 
 
+def test_dihedral_element_is_a_frozen_value():
+    a = DihedralElement(5, 1, 2)
+    assert repr(a) == "DihedralElement(n=5, ref=1, rot=2)"
+    assert a == DihedralElement(5, 1, 2)
+    assert a != DihedralElement(5, 0, 2) and a != DihedralElement(6, 1, 2)
+    assert a != (5, 1, 2)
+    assert hash(a) == hash((5, 1, 2))
+    for name in ("n", "ref", "rot", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    with pytest.raises(AttributeError):
+        del a.rot
+    assert a == DihedralElement(5, 1, 2)
+
+
 def test_group_axioms_and_action_compatibility():
     for n in range(3, 9):
         elems = group_elements(n)

@@ -19,7 +19,7 @@ from cycliso.dihedral import mask_images, symmetry_rows
 
 
 def class_of(classes, m, a):
-    i = m.rows.index(a.row)
+    i = m.rows.index(bytes(a.row))
     for c in classes.classes:
         if i in c:
             return c
@@ -50,7 +50,7 @@ def test_units_are_one_H_class():
     m = build_by_restrictions(4)
     H = green_LRH(m, "H")
     u = units(m)
-    ordinals = sorted(m.rows.index(a.row) for a in u)
+    ordinals = sorted(m.rows.index(bytes(a.row)) for a in u)
     assert tuple(ordinals) in H.classes
 
 

@@ -1,8 +1,9 @@
 import gc
+import random
 import tracemalloc
 import weakref
 from itertools import combinations, permutations
-from operator import itemgetter, mul
+from operator import mul
 
 import pytest
 
@@ -10,6 +11,7 @@ from cycliso import (
     CycleMetric,
     FiniteMonoid,
     PartialPerm,
+    RankReport,
     b2_set,
     build_by_bruteforce,
     build_by_closure,
@@ -27,9 +29,8 @@ from cycliso import (
 )
 from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement
-import cycliso.monoid
 from cycliso.monoid import closure_rows, product_table
-from cycliso.partial_perm import check_row
+from cycliso.partial_perm import canonical_bytes_key, canonical_key, check_row
 
 # first few values of the closed formula, frozen from an independent
 # evaluation of n 2^(n+1) - ((-1)^n + 5)/4 n^2 - 2n + 1
@@ -75,7 +76,7 @@ def test_builders_agree():
 def test_monoid_is_closed_and_inverse_closed():
     for n in range(3, 7):
         m = build_by_restrictions(n)
-        rows = set(m.rows)
+        rows = set(map(tuple, m.rows))
         for a in m:
             assert a.inverse().row in rows
             for b in m:
@@ -136,7 +137,7 @@ def restriction_rows_by_sorting(n):
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_restrictions_in_d0_d1_order_match_the_sorted_sets(n):
-    assert list(build_by_restrictions(n).rows) == restriction_rows_by_sorting(n)
+    assert list(map(tuple, build_by_restrictions(n).rows)) == restriction_rows_by_sorting(n)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -147,7 +148,7 @@ def test_the_layout_gives_the_checked_rows(n):
     for dom, ks in restriction_layout(n):
         for k in ks:
             row = tuple(symmetries[k].act(x) if x in dom else 0 for x in range(1, n + 1))
-            assert rows[at] == row, (dom, k)
+            assert tuple(rows[at]) == row, (dom, k)
             at += 1
     assert at == len(rows)
 
@@ -276,7 +277,40 @@ def test_constructor_rejects_what_check_row_rejects(bad, place):
 @pytest.mark.parametrize("odd", [(0.0, 0, 0), (True, 0, 0)], ids=["float-zero", "true"])
 def test_constructor_accepts_what_check_row_accepts(odd):
     check_row(3, odd)
-    assert FiniteMonoid(3, [odd, (1, 2, 3)], {}).rows[0] == odd
+    assert tuple(FiniteMonoid(3, [odd, (1, 2, 3)], {}).rows[0]) == odd
+
+
+@pytest.mark.parametrize(
+    "n, build",
+    [(n, build_by_bruteforce) for n in range(3, 8)]
+    + [(n, build_by_restrictions) for n in range(8, 11)],
+)
+def test_bytes_key_orders_rows_as_the_tuple_key_does(n, build):
+    rows = list(build(n).rows)
+    random.Random(n).shuffle(rows)
+    by_bytes = sorted(rows, key=canonical_bytes_key)
+    by_tuples = sorted(map(tuple, rows), key=canonical_key)
+    assert list(map(tuple, by_bytes)) == by_tuples
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_rows_as_bytes_need_n_at_most_255(n):
+    def rows():
+        raise AssertionError("the rows were read")
+        yield
+
+    message = f"rows as bytes need n <= 255, got {n}"
+    with pytest.raises(ValueError, match=message):
+        FiniteMonoid(n, rows(), {})
+    with pytest.raises(ValueError, match=message):
+        closure_rows(n, rows())
+    # a PartialPerm has no bound on n
+    ident = PartialPerm.identity(n)
+    assert ident.compose(ident) == ident == ident.inverse()
+    # 255 points still fit
+    top = PartialPerm.identity(255)
+    assert list(FiniteMonoid(255, [top.row], {})) == [top]
+    assert closure_rows(255, [top.row]) == [bytes(top.row)]
 
 
 @pytest.mark.parametrize("n, maps", [(4, 209), (5, 1546)])
@@ -329,6 +363,24 @@ def test_builders_keep_no_monoid_alive(method):
     assert ref() is None
 
 
+def test_rank_report_is_a_frozen_value():
+    report = rank_search(build_by_restrictions(3))
+    fields = (3, 34, True, None, None, (), ())
+    assert repr(report) == (
+        "RankReport(n=3, size=34, triple_generates=True, singles_checked=None,"
+        " pairs_checked=None, generating_singles=(), generating_pairs=())"
+    )
+    assert report == RankReport(*fields)
+    assert report != RankReport(3, 34, False, None, None, (), ())
+    assert report != fields
+    assert hash(report) == hash(fields)
+    with pytest.raises(AttributeError):
+        report.size = 0
+    with pytest.raises(AttributeError):
+        del report.n
+    assert report == RankReport(*fields)
+
+
 def test_rank_search_small():
     m = build_by_restrictions(3)
     report = rank_search(m, exhaustive_pairs=True)
@@ -370,7 +422,7 @@ def assert_table_is_exact(m):
     elements = m.elements
     assert len(prod) == len(m)
     for a, line in zip(elements, prod):
-        assert [m.rows[k] for k in line] == [a.compose(b).row for b in elements]
+        assert [tuple(m.rows[k]) for k in line] == [a.compose(b).row for b in elements]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -391,25 +443,27 @@ def test_product_table_reads_no_generators(n):
     assert_table_is_exact(m)
 
 
-def test_product_table_composes_three_rows(monkeypatch):
-    # one itemgetter per composed row; every other row is derived
-    composed = []
+def test_product_table_composes_three_rows():
+    # one row translated through every table per composed row; every
+    # other row is derived
+    composed = set()
 
-    def counting_itemgetter(*items):
-        composed.append(items)
-        return itemgetter(*items)
+    class Row(bytes):
+        def translate(self, table):
+            composed.add(bytes(self))
+            return bytes.translate(self, table)
 
     for n in range(3, 8):
         m = build_by_restrictions(n)
         u = units(m)
-        monkeypatch.setattr(cycliso.monoid, "itemgetter", counting_itemgetter)
+        m.rows = tuple(map(Row, m.rows))
         product_table(m)
         assert len(composed) == 3, n
         composed.clear()
+        u.rows = tuple(map(Row, u.rows))
         product_table(u)
         assert len(composed) == 2, n
         composed.clear()
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("generators", ["rotation", "none", "empty_map"])
@@ -463,7 +517,7 @@ def test_products_on_fewer_than_three_points(n, rows):
     m = FiniteMonoid(n, rows, {})
     prod = product_table(m)
     for i, a in enumerate(m):
-        assert [m.rows[k] for k in prod[i]] == [a.compose(b).row for b in m]
+        assert [tuple(m.rows[k]) for k in prod[i]] == [a.compose(b).row for b in m]
     # both monoids hold every partial bijection, so a L b iff a, b share an image
     by_image = {}
     for i, row in enumerate(m.rows):
@@ -473,6 +527,37 @@ def test_products_on_fewer_than_three_points(n, rows):
     report = rank_search(m, exhaustive_pairs=True)
     assert report.singles_checked == len(m)
     assert report.generating_pairs == row_closure_pair_scan(m)[3]
+
+
+def closure_by_compose(n, gens):
+    """closure_rows' breadth-first search, with PartialPerm.compose."""
+    order = [PartialPerm.identity(n)]
+    seen = set(order)
+    for a in order:
+        for g in gens:
+            p = a.compose(g)
+            if p not in seen:
+                seen.add(p)
+                order.append(p)
+    return [a.row for a in order]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_translate_products_match_compose(n):
+    if n < 3:
+        # as in test_products_on_fewer_than_three_points: every partial bijection
+        points = range(1, n + 1)
+        gens = [
+            PartialPerm.from_pairs(n, zip(dom, img))
+            for k in range(n + 1)
+            for dom in combinations(points, k)
+            for img in permutations(points, k)
+        ]
+    else:
+        gens = list(standard_generators(n).values())
+    rows = closure_rows(n, [a.row for a in gens])
+    assert list(map(tuple, rows)) == closure_by_compose(n, gens)
+    assert_table_is_exact(FiniteMonoid(n, sorted(rows, key=canonical_bytes_key), {}))
 
 
 def row_closure_pair_scan(m):

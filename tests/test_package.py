@@ -69,3 +69,15 @@ def test_a_name_loads_only_its_own_submodule():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "cycliso | cycliso cycliso.cycle\n"
+
+
+def test_the_command_line_starts_without_dataclasses():
+    # dataclasses imports inspect, a large share of the start-up
+    probe = (
+        "import sys, cycliso.cli\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False False\n"
