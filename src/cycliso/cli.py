@@ -33,6 +33,7 @@ import cycliso
 from .dihedral import symmetry_rows
 from .monoid import (
     BRUTEFORCE_BOUND,
+    BYTE_N_BOUND,
     PAIR_SEARCH_BOUND,
     build_by_bruteforce,
     build_by_closure,
@@ -66,8 +67,8 @@ class UsageError(Exception):
     """A command line that parses but asks for more than a bound allows."""
 
 
-def _int_at_least(low, name):
-    """An argparse type: an integer no less than ``low``."""
+def _bounded_int(low, name, high=None):
+    """An argparse type: an integer no less than ``low``, nor above ``high``."""
 
     def parse(text):
         try:
@@ -76,13 +77,16 @@ def _int_at_least(low, name):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{name} must be <= {high}, got {value}")
         return value
 
     return parse
 
 
-_positive_n = _int_at_least(3, "n")
-_slot_budget = _int_at_least(1, "--max-slots")
+_positive_n = _bounded_int(3, "n")
+_monoid_n = _bounded_int(3, "n", BYTE_N_BOUND)  # for the commands that build one
+_slot_budget = _bounded_int(1, "--max-slots")
 
 
 def _n_range(text):
@@ -95,6 +99,8 @@ def _n_range(text):
         raise argparse.ArgumentTypeError(f"bad range {text!r}, want N or A..B")
     if a < 3 or b < a:
         raise argparse.ArgumentTypeError(f"bad range {text!r}: need 3 <= A <= B")
+    if b > BYTE_N_BOUND:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}: B must be <= {BYTE_N_BOUND}")
     return range(a, b + 1)
 
 
@@ -330,7 +336,7 @@ def build_parser():
         p.add_argument("--out", help="write output here instead of stdout")
 
     p = sub.add_parser("enumerate", help="emit all elements as JSON lines")
-    p.add_argument("--n", type=_positive_n, required=True)
+    p.add_argument("--n", type=_monoid_n, required=True)
     p.add_argument("--method", choices=tuple(BUILDERS), default="restrictions")
     common(p)
     p.set_defaults(func=cmd_enumerate)
@@ -342,14 +348,14 @@ def build_parser():
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("green", help="Green's relation classes")
-    p.add_argument("--n", type=_positive_n, required=True)
+    p.add_argument("--n", type=_monoid_n, required=True)
     p.add_argument("--relation", choices=("L", "R", "H", "J"), required=True)
     p.add_argument("--verify-oracle", action="store_true")
     common(p)
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("rank", help="generating-set checks")
-    p.add_argument("--n", type=_positive_n, required=True)
+    p.add_argument("--n", type=_monoid_n, required=True)
     p.add_argument("--exhaustive-pairs", action="store_true")
     common(p)
     p.set_defaults(func=cmd_rank)
@@ -362,7 +368,7 @@ def build_parser():
     common(q)
     q.set_defaults(func=cmd_present_show)
     q = psub.add_parser("verify", help="enumerate the quotient and compare sizes")
-    q.add_argument("--n", type=_positive_n, required=True)
+    q.add_argument("--n", type=_monoid_n, required=True)
     q.add_argument("--which", choices=("R", "Q"), required=True)
     q.add_argument("--max-slots", type=_slot_budget)
     common(q)

@@ -56,7 +56,6 @@ of the presented one, so equality of (finite) sizes pins them equal.
 import gc
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import index
 
 from .monoid import cardinality_formula, closure_rows
@@ -69,6 +68,7 @@ from .presentations import (
     r_to_q_substitution,
     substitute,
 )
+from .record import Record
 
 __all__ = [
     "BudgetExceededError",
@@ -101,23 +101,17 @@ class BudgetExceededError(RuntimeError):
         self.peak_live = peak_live
 
 
-@dataclass(frozen=True)
-class CongruenceTable:
+class CongruenceTable(Record):
     """A closed enumeration: a total automaton on the congruence classes.
 
     ``edges`` is flat, ``edges[s * width + a]`` being the class of
     (word of s) followed by letter a.  Slot 0 is the class of the empty
     word.  ``slots_used``, ``merges`` and ``peak_live``, the most slots
-    live at once, record how hard the run was; ``peak_live`` is left out
-    of comparisons, and None where no sweep recorded it.
+    live at once, record how hard the run was.  Every field, ``peak_live``
+    too, takes part in comparisons.
     """
 
-    alphabet: tuple
-    size: int
-    edges: tuple
-    slots_used: int
-    merges: int
-    peak_live: int = field(default=None, compare=False)
+    __slots__ = ("alphabet", "size", "edges", "slots_used", "merges", "peak_live")
 
     @property
     def width(self):
@@ -380,13 +374,13 @@ def enumerate_quotient(presentation, max_slots=None):
                 yield number[find(t)]
 
     return CongruenceTable(
-        alphabet=presentation.alphabet,
-        size=len(live),
+        presentation.alphabet,
+        len(live),
         # from a generator: no list of the edges is held next to the tuple
-        edges=tuple(renumbered()),
-        slots_used=len(parent),
-        merges=merges,
-        peak_live=max(peak_live, len(parent) - merges),
+        tuple(renumbered()),
+        len(parent),
+        merges,
+        max(peak_live, len(parent) - merges),
     )
 
 
@@ -399,16 +393,12 @@ def check_consequence(table, lhs, rhs):
     return table.trace(lhs) == table.trace(rhs)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    name: str
-    n: int
-    target_size: int
-    quotient_size: int
-    verdict: str  # "defines" | "differs"
-    slots_used: int
-    merges: int
-    wall_ms: float
+class VerifyReport(Record):
+    __slots__ = (
+        "name", "n", "target_size", "quotient_size",
+        "verdict",  # "defines" | "differs"
+        "slots_used", "merges", "wall_ms",
+    )
 
     @property
     def ok(self):
@@ -468,13 +458,14 @@ def verify_defines(presentation, monoid, images=None, max_slots=None):
     )
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(Record):
     """Cross-derivability of the two presentation families at one n."""
 
-    n: int
-    r_to_q: tuple  # (label, ok) per wide relation rewritten over 3 letters
-    q_to_r: tuple  # (label, ok) per 3-letter relation rewritten over the wide alphabet
+    __slots__ = (
+        "n",
+        "r_to_q",  # (label, ok) per wide relation rewritten over 3 letters
+        "q_to_r",  # (label, ok) per 3-letter relation rewritten over the wide alphabet
+    )
 
     @property
     def ok(self):

@@ -6,33 +6,24 @@ permutation is a partial isometry of the cycle when it preserves this
 distance on every pair of points where it is defined.
 """
 
-from dataclasses import dataclass
-from operator import index
+from .record import Record, integer
 
 __all__ = ["CycleMetric"]
 
 
-def _integer(value, what):
-    """``operator.index(value)``; a non-integer raises ValueError."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
-
-
-@dataclass(frozen=True)
-class CycleMetric:
+class CycleMetric(Record):
     """Distance structure of the cycle on n >= 3 vertices."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if _integer(self.n, "vertex count") < 3:
-            raise ValueError(f"cycle needs at least 3 vertices, got {self.n}")
+    def __init__(self, n):
+        if integer(n, "vertex count") < 3:
+            raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+        super().__init__(n)
 
     def _point(self, x):
         """The vertex x as an int, checked to lie in 1..n."""
-        x = _integer(x, "vertex")
+        x = integer(x, "vertex")
         if not 1 <= x <= self.n:
             raise ValueError(f"vertex {x!r} outside 1..{self.n}")
         return x
@@ -53,7 +44,7 @@ class CycleMetric:
         collapses to one.  Requires 1 <= d <= n/2.
         """
         x = self._point(x)
-        d = _integer(d, "radius")
+        d = integer(d, "radius")
         if not (1 <= d and 2 * d <= self.n):
             raise ValueError(f"radius {d!r} outside 1..{self.n}/2")
         a = (x - 1 + d) % self.n + 1

@@ -12,7 +12,7 @@ The multiplication rule follows from h g = g^(n-1) h.
 """
 
 from .partial_perm import PartialPerm
-from .record import Record
+from .record import Record, integer
 
 __all__ = ["DihedralElement", "group_elements", "symmetry_rows", "mask_images", "extensions_of"]
 
@@ -23,6 +23,9 @@ class DihedralElement(Record):
     __slots__ = ("n", "ref", "rot")
 
     def __init__(self, n, ref, rot):
+        n = integer(n, "vertex count")
+        ref = integer(ref, "ref")
+        rot = integer(rot, "rot")
         if n < 3:
             raise ValueError(f"dihedral symmetries need n >= 3, got {n}")
         if ref not in (0, 1):

@@ -15,25 +15,23 @@ The two must produce identical partitions; tests enforce that.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
 
 from .dihedral import mask_images
 from .monoid import product_table
+from .record import Record
 
 __all__ = ["GreenClasses", "green_LRH", "green_J", "green_oracle"]
 
 ORACLE_SIZE_BOUND = 1024  # |M|; the oracle holds an |M|^2 product table, so n <= 6
 
 
-@dataclass(frozen=True)
-class GreenClasses:
+class GreenClasses(Record):
     """A partition of element ordinals, classes and members both sorted."""
 
-    relation: str
-    classes: tuple
+    __slots__ = ("relation", "classes")
 
     @property
     def class_count(self):

@@ -45,6 +45,7 @@ __all__ = [
     "RankReport",
 ]
 
+BYTE_N_BOUND = 255  # rows are held as bytes
 BRUTEFORCE_BOUND = 7  # candidate maps grow like n! * 2^n; keep the oracle honest
 # the pair scan holds an |M|^2 product table, then runs |M|^2 / 2 short BFS runs
 PAIR_SEARCH_BOUND = 5
@@ -56,8 +57,8 @@ def _check_n(n):
 
 
 def _check_byte_n(n):
-    if n > 255:
-        raise ValueError(f"rows as bytes need n <= 255, got {n}")
+    if n > BYTE_N_BOUND:
+        raise ValueError(f"rows as bytes need n <= {BYTE_N_BOUND}, got {n}")
 
 
 def _table(row):
@@ -309,6 +310,7 @@ def build_by_restrictions(n):
     ({'n': 4, 'dom': [], 'img': []}, {'n': 4, 'dom': [1], 'img': [1]})
     """
     _check_n(n)
+    _check_byte_n(n)
     tables = [_table(row[1:]) for row in symmetry_rows(n)]
 
     def restrictions(dom, ks):
@@ -335,15 +337,16 @@ def build_by_bruteforce(n):
     Exists purely as an oracle for the other builders, so it refuses to
     run above BRUTEFORCE_BOUND rather than grind.
     """
+    from .cycle import CycleMetric  # not loaded by the other builders
+
     _check_n(n)
+    _check_byte_n(n)
     if n > BRUTEFORCE_BOUND:
         raise ValueError(f"n={n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
-    half = [[0] * (n + 1) for _ in range(n + 1)]
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            k = abs(x - y)
-            half[x][y] = min(k, n - k)
     points = range(1, n + 1)
+    distance = CycleMetric(n).distance
+    # half[x][y] is the distance from x to y; row 0 and column 0 are unused
+    half = [[0] * (n + 1)] + [[0] + [distance(x, y) for y in points] for x in points]
     rows = [bytes(n)]
     for k in range(1, n + 1):
         for dom in combinations(points, k):

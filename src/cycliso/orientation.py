@@ -13,7 +13,7 @@ and (1, 3, 2) anti-cyclic only.  Sequences that are neither, such as
 (1, 3, 2, 4), first appear at length 4.
 """
 
-from dataclasses import dataclass
+from .record import Record
 
 __all__ = [
     "SequenceClass",
@@ -26,10 +26,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SequenceClass:
-    cyclic: bool
-    anticyclic: bool
+class SequenceClass(Record):
+    __slots__ = ("cyclic", "anticyclic")
 
     @property
     def oriented(self):
@@ -51,7 +49,7 @@ def classify_sequence(seq):
             descents += 1
         elif a < b:
             ascents += 1
-    return SequenceClass(cyclic=descents <= 1, anticyclic=ascents <= 1)
+    return SequenceClass(descents <= 1, ascents <= 1)
 
 
 def _image_sequence(a):

@@ -16,6 +16,8 @@ Conventions used throughout this package:
 
 from itertools import compress, count
 
+from .record import integer
+
 __all__ = [
     "PartialPerm",
     "canonical_bytes_key",
@@ -88,6 +90,7 @@ class PartialPerm:
     __slots__ = ("n", "row")
 
     def __init__(self, n, row):
+        n = integer(n, "point count")
         row = tuple(row)
         check_row(n, row)
         self.n = n

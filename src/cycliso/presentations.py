@@ -18,11 +18,11 @@ relations are (lhs, rhs) word pairs, and evaluation folds the product
 left to right.
 """
 
-from dataclasses import dataclass
 from operator import index
 
 from .monoid import _check_n, standard_generators
 from .partial_perm import PartialPerm, idempotent
+from .record import Record
 
 __all__ = [
     "Presentation",
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A finite monoid presentation with per-relation family labels.
 
     Letters are integer indices into the alphabet:
@@ -55,17 +54,17 @@ class Presentation:
     ValueError: letter 1.0 is not an integer index
     """
 
-    name: str
-    n: int
-    alphabet: tuple
-    relations: tuple  # of (word, word), words are tuples of letter indices
-    labels: tuple  # family tag per relation, parallel to `relations`
+    __slots__ = (
+        "name", "n", "alphabet",
+        "relations",  # of (word, word), words are tuples of letter indices
+        "labels",  # family tag per relation, parallel to `relations`
+    )
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.relations):
+    def __init__(self, name, n, alphabet, relations, labels):
+        if len(labels) != len(relations):
             raise ValueError("labels and relations out of step")
-        width = len(self.alphabet)
-        for lhs, rhs in self.relations:
+        width = len(alphabet)
+        for lhs, rhs in relations:
             for a in (*lhs, *rhs):
                 try:
                     index(a)
@@ -73,6 +72,7 @@ class Presentation:
                     raise ValueError(f"letter {a!r} is not an integer index") from None
                 if not 0 <= a < width:
                     raise ValueError(f"letter index {a} outside the alphabet")
+        super().__init__(name, n, alphabet, relations, labels)
 
     def letter(self, name):
         return self.alphabet.index(name)
@@ -247,12 +247,11 @@ def evaluate(word, images):
     return acc
 
 
-@dataclass(frozen=True)
-class SatisfactionReport:
-    name: str
-    n: int
-    checked: int
-    failures: tuple  # of (relation index, label, lhs text, rhs text)
+class SatisfactionReport(Record):
+    __slots__ = (
+        "name", "n", "checked",
+        "failures",  # of (relation index, label, lhs text, rhs text)
+    )
 
     @property
     def ok(self):

@@ -1,13 +1,27 @@
-"""Immutable records that start up without ``dataclasses``.
+"""The package's one record type, and its one integer check.
 
-``dataclasses`` imports ``inspect``, which is a large share of the
-command line's start-up, so the records built on that path derive from
-``Record`` instead.  A record's fields are its ``__slots__``; it is
-shown, compared and hashed as a frozen dataclass with those fields is,
-and assigning to or deleting a field raises ``AttributeError``.
+Every record in cycliso derives from ``Record``: the CLI's answers
+(``RankReport``, ``GreenClasses``, ``VerifyReport`` and the rest) and
+the small values they are built from.  A record's fields are its
+``__slots__``; it is shown, compared and hashed as a frozen dataclass
+with those fields is, and assigning to or deleting a field raises
+``AttributeError``.  A record that checks its fields does so in its own
+``__init__`` before calling ``Record.__init__``.  ``dataclasses``
+imports ``inspect``, a large share of start-up, so no module of the
+package imports it.
 """
 
-__all__ = ["Record"]
+from operator import index
+
+__all__ = ["Record", "integer"]
+
+
+def integer(value, what):
+    """``operator.index(value)``; a non-integer raises ValueError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 class Record:

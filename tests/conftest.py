@@ -1,9 +1,8 @@
-import dataclasses
-
 import pytest
 from hypothesis import settings
 
 from cycliso import (
+    Presentation,
     build_Q,
     build_R,
     enumerate_quotient,
@@ -39,8 +38,10 @@ def drop_family(pres, label):
         for rel, lab in zip(pres.relations, pres.labels)
         if lab != label
     ]
-    return dataclasses.replace(
-        pres,
-        relations=tuple(rel for rel, _ in keep),
-        labels=tuple(lab for _, lab in keep),
+    return Presentation(
+        pres.name,
+        pres.n,
+        pres.alphabet,
+        tuple(rel for rel, _ in keep),
+        tuple(lab for _, lab in keep),
     )

@@ -280,6 +280,28 @@ def test_usage_errors_exit_2(capsys):
     assert "--which" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "enumerate --n 256",
+        "count --n 256..300",
+        "green --n 300 --relation J",
+        "rank --n 300",
+        "present verify --which R --n 300",
+    ],
+)
+def test_n_above_255_is_refused_while_parsing(command, capsys):
+    # before, each of these began building and exited 1 with
+    # "internal error: bytes must be in range(0, 256)"; argparse exits
+    # before any command runs
+    with pytest.raises(SystemExit) as info:
+        main(command.split())
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be <= 255" in captured.err
+
+
 @pytest.mark.parametrize("command", ["present verify --which R", "tietze"])
 def test_slot_budget_below_one_is_refused_while_parsing(command, capsys):
     argv = command.split() + ["--n", "3", "--max-slots", "0"]

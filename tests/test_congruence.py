@@ -254,6 +254,13 @@ def test_image_sequence_must_match_the_alphabet(check, count):
         check(*args, images=images)
 
 
+def test_peak_live_takes_part_in_comparisons():
+    table = enumerate_quotient(cyclic_group_presentation(3), 100)
+    fields = (table.alphabet, table.size, table.edges, table.slots_used, table.merges)
+    assert table == CongruenceTable(*fields, table.peak_live)
+    assert table != CongruenceTable(*fields, table.peak_live + 1)
+
+
 def test_duplicate_relations_do_not_change_the_result():
     p = cyclic_group_presentation(4)
     doubled = Presentation(
@@ -280,7 +287,8 @@ def reference_enumerate(presentation, max_slots):
     """The enumerator as it was before the op-list sweep, kept as a reference.
 
     Unchanged but for its budget error, which has no sweep position to
-    report.
+    report, and for ``peak_live``, the most slots live on entry to a merge
+    or at the end, which the sweep records.
     """
     width = len(presentation.alphabet)
     if width == 0:
@@ -294,6 +302,7 @@ def reference_enumerate(presentation, max_slots):
     tab = [-1] * width
     parent = [0]
     merges = 0
+    peak_live = 0
     pending = deque()
 
     def find(x):
@@ -303,7 +312,8 @@ def reference_enumerate(presentation, max_slots):
         return x
 
     def merge(a, b):
-        nonlocal merges
+        nonlocal merges, peak_live
+        peak_live = max(peak_live, len(parent) - merges)
         pending.append((a, b))
         while pending:
             x, y = pending.popleft()
@@ -378,11 +388,12 @@ def reference_enumerate(presentation, max_slots):
             assert t != -1, "live slot with an undefined edge after closure"
             edges.append(number[find(t)])
     return CongruenceTable(
-        alphabet=presentation.alphabet,
-        size=len(live),
-        edges=tuple(edges),
-        slots_used=len(parent),
-        merges=merges,
+        presentation.alphabet,
+        len(live),
+        tuple(edges),
+        len(parent),
+        merges,
+        max(peak_live, len(parent) - merges),
     )
 
 

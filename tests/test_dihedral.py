@@ -32,6 +32,23 @@ def test_normal_form_validation():
     assert DihedralElement.rotation(4, 7).rot == 3
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3.5, 0, 1.0), "vertex count 3.5"),
+        ((4.0, 0, 1), "vertex count 4.0"),
+        ((4, 1.0, 1), "ref 1.0"),
+        ((4, 0, 1.0), "rot 1.0"),
+        (("4", 0, 1), "vertex count '4'"),
+    ],
+    ids=["n-fraction", "n-float", "ref-float", "rot-float", "n-str"],
+)
+def test_non_integers_are_refused(args, message):
+    # before, DihedralElement(3.5, 0, 1.0) was built and act(1) gave 2.0
+    with pytest.raises(ValueError, match=f"{message} is not an integer"):
+        DihedralElement(*args)
+
+
 def test_dihedral_element_is_a_frozen_value():
     a = DihedralElement(5, 1, 2)
     assert repr(a) == "DihedralElement(n=5, ref=1, rot=2)"

@@ -27,6 +27,7 @@ from cycliso import (
     standard_generators,
     units,
 )
+import cycliso.monoid
 from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement
 from cycliso.monoid import closure_rows, product_table
@@ -311,6 +312,17 @@ def test_rows_as_bytes_need_n_at_most_255(n):
     top = PartialPerm.identity(255)
     assert list(FiniteMonoid(255, [top.row], {})) == [top]
     assert closure_rows(255, [top.row]) == [bytes(top.row)]
+
+
+@pytest.mark.parametrize("method", ["restrictions", "bruteforce"])
+def test_builders_check_the_byte_bound_before_any_work(method, monkeypatch):
+    def work(n):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(cycliso.monoid, "symmetry_rows", work)
+    monkeypatch.setattr(cycliso.monoid, "standard_generators", work)
+    with pytest.raises(ValueError, match="rows as bytes need n <= 255, got 300"):
+        BUILDERS[method](300)
 
 
 @pytest.mark.parametrize("n, maps", [(4, 209), (5, 1546)])

@@ -1,9 +1,11 @@
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import cycliso
+from cycliso.record import Record
 
 EXPORTS = {
     "BridgeReport", "BudgetExceededError", "CongruenceTable", "CycleMetric",
@@ -68,7 +70,7 @@ def test_a_name_loads_only_its_own_submodule():
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "cycliso | cycliso cycliso.cycle\n"
+    assert proc.stdout == "cycliso | cycliso cycliso.cycle cycliso.record\n"
 
 
 def test_the_command_line_starts_without_dataclasses():
@@ -81,3 +83,78 @@ def test_the_command_line_starts_without_dataclasses():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "False False\n"
+
+
+def test_no_module_imports_dataclasses():
+    probe = (
+        "import sys, cycliso.cli, cycliso.green, cycliso.cycle, cycliso.congruence,"
+        " cycliso.presentations, cycliso.orientation\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False False\n"
+
+
+# name -> (fields in order, an instance, one that differs from it)
+RECORDS = {
+    "BridgeReport": (
+        ("n", "r_to_q", "q_to_r"),
+        lambda: cycliso.check_tietze_bridge(3),
+        lambda: cycliso.check_tietze_bridge(4),
+    ),
+    "CongruenceTable": (
+        ("alphabet", "size", "edges", "slots_used", "merges", "peak_live"),
+        lambda: cycliso.enumerate_quotient(cycliso.build_R(3)),
+        lambda: cycliso.enumerate_quotient(cycliso.build_Q(3)),
+    ),
+    "CycleMetric": (("n",), lambda: cycliso.CycleMetric(5), lambda: cycliso.CycleMetric(6)),
+    "GreenClasses": (
+        ("relation", "classes"),
+        lambda: cycliso.green_LRH(cycliso.build_by_restrictions(3), "L"),
+        lambda: cycliso.green_LRH(cycliso.build_by_restrictions(3), "R"),
+    ),
+    "Presentation": (
+        ("name", "n", "alphabet", "relations", "labels"),
+        lambda: cycliso.build_Q(3),
+        lambda: cycliso.build_R(3),
+    ),
+    "SatisfactionReport": (
+        ("name", "n", "checked", "failures"),
+        lambda: cycliso.check_satisfaction(cycliso.build_Q(3)),
+        lambda: cycliso.check_satisfaction(cycliso.build_R(3)),
+    ),
+    "SequenceClass": (
+        ("cyclic", "anticyclic"),
+        lambda: cycliso.classify_sequence((2, 3, 1)),
+        lambda: cycliso.classify_sequence((1, 3, 2)),
+    ),
+    "VerifyReport": (
+        ("name", "n", "target_size", "quotient_size", "verdict", "slots_used",
+         "merges", "wall_ms"),
+        lambda: cycliso.verify_defines(cycliso.build_Q(3), cycliso.build_by_restrictions(3)),
+        lambda: cycliso.verify_defines(cycliso.build_R(3), cycliso.build_by_restrictions(3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_each_record_is_a_frozen_value(name):
+    fields, make, make_other = RECORDS[name]
+    cls = getattr(cycliso, name)
+    assert issubclass(cls, Record) and cls.__slots__ == fields
+    obj = make()
+    values = tuple(getattr(obj, f) for f in fields)
+    body = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    assert repr(obj) == f"{name}({body})"
+    assert obj == cls(*values) and hash(obj) == hash(cls(*values)) == hash(values)
+    assert obj != values and obj != make_other()
+    copy = pickle.loads(pickle.dumps(obj))
+    assert type(copy) is cls and copy == obj and hash(copy) == hash(obj)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, f, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, f)
+    assert obj == cls(*values)

@@ -100,6 +100,13 @@ def test_constructor_rejects_bad_rows():
         PartialPerm(0, ())
 
 
+@pytest.mark.parametrize("n", [3.0, "3", None], ids=["float", "str", "none"])
+def test_the_point_count_must_be_an_integer(n):
+    # before, PartialPerm(3.0, (1, 2, 3)) was built and its domain() raised TypeError
+    with pytest.raises(ValueError, match=f"point count {n!r} is not an integer"):
+        PartialPerm(n, (1, 2, 3))
+
+
 def test_from_pairs_rejects_bad_domain():
     with pytest.raises(ValueError):
         PartialPerm.from_pairs(3, {4: 1})
