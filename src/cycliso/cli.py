@@ -17,8 +17,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 a verification failed, an internal
 error or output that could not be written, 2 a bad command line
-(refused before any work), 3 enumeration hit its slot budget
-(inconclusive; every such command prints ``{"n", "verdict", "detail"}``).
+(refused before any work), 3 enumeration hit its slot budget or ran
+out of memory (inconclusive; every such command prints
+``{"n", "verdict", "detail"}``).
 """
 
 import argparse

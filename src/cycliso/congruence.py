@@ -39,14 +39,26 @@ variable, a letter an integer literal, and the slot's own row is read
 once.  Only a merge kills a slot, so a node set by a step after the
 last check is still live and is used without a ``find``; so is the
 swept slot, since the sweep leaves it as soon as a check merges it
-away.  Missing edges and dead targets, the rare case, go to a helper
-that defines or finds.  The ops are cut into functions of at least
-``CHUNK_OPS`` ops, each ending at a check, because the compiler's
+away.  A merged slot's row is None, and so is the last entry of
+``rows``, which a missing edge (-1) reads: fetching a node's row is
+then the test for both a missing edge and a dead target, the rare
+cases, which go to a helper that defines or finds.  A step that comes
+just before the check of its relation glues instead: a missing edge
+there would be a new slot with a blank row that the check merges into
+the relation's other end at once, so the step takes that slot's id and
+counts that merge but stores no row, and points the edge straight at
+the other end (``glue``).  Any later read of that edge finds the same
+class either way, so no count moves.  The ops are cut into functions of
+at least ``CHUNK_OPS`` ops, each ending at a check, because the compiler's
 transient memory grows with the size of one function: a single function
 for R at n=7 peaks at more than twice the memory of the enumeration.
 Nodes that a later chunk reads are handed over in a list.  The compiled
 code takes the same steps and checks in the same order as the ops, so
 it defines the same slots.
+
+A run that runs out of memory before the table closes is inconclusive
+as well: the table is dropped and ``BudgetExceededError`` reports how
+far the sweep got.
 
 Used to machine-check that a presentation defines a given finite
 monoid: the canonical generator assignment makes the monoid a quotient
@@ -56,6 +68,7 @@ of the presented one, so equality of (finite) sizes pins them equal.
 import gc
 import time
 from contextlib import contextmanager
+from itertools import chain, repeat
 from operator import index
 
 from .monoid import cardinality_formula, closure_rows
@@ -87,11 +100,13 @@ CHUNK_OPS = 32  # sweep ops per compiled function, at least; see module notes
 
 
 class BudgetExceededError(RuntimeError):
-    """The slot budget ran out before the table closed: inconclusive."""
+    """The slot budget or memory ran out before the table closed: inconclusive."""
 
-    def __init__(self, max_slots, slots_used, merges, swept, peak_live=None):
+    def __init__(
+        self, max_slots, slots_used, merges, swept, peak_live=None, reason="budget"
+    ):
         super().__init__(
-            f"inconclusive (budget): {slots_used} slots created, "
+            f"inconclusive ({reason}): {slots_used} slots created, "
             f"budget {max_slots}, {merges} merges, {swept} slots swept"
         )
         self.max_slots = max_slots
@@ -179,18 +194,19 @@ def sweep_source(ops, width):
     s and its row; it returns True if s merged away, and the last chunk
     ends by defining every missing edge of s.  Trie node k is the local
     ``nk``, and its row is ``rk`` while it is known to be live.  A node
-    that a later chunk reads goes through ``at[k]``.
+    that a later chunk reads goes through ``at[k]``.  A step that ends a
+    relation glues a missing edge to the relation's other end.
 
     >>> print(sweep_source([(1, 0, 0), (2, 1, 0), (3, 2, 0), (-1, 3, 0)], 1)[0])
     def chunk(s, rs):
         n1 = rs[0]
-        if parent[n1] != n1: n1 = fix(rs, 0)
         r1 = rows[n1]
+        if r1 is None: n1 = fix(rs, 0); r1 = rows[n1]
         n2 = r1[0]
-        if parent[n2] != n2: n2 = fix(r1, 0)
         r2 = rows[n2]
+        if r2 is None: n2 = fix(r1, 0); r2 = rows[n2]
         n3 = r2[0]
-        if parent[n3] != n3: n3 = fix(r2, 0)
+        if rows[n3] is None: n3 = glue(r2, 0, s)
         if n3 != s:
             merge(n3, s)
             if parent[s] != s: return True
@@ -225,7 +241,20 @@ def sweep_source(ops, width):
                 live.add(k)
             return f"n{k:d}"
 
-        for node, src, a in chunk:
+        def row(k):
+            if k == 0:
+                return "rs"
+            if k not in rowed:
+                lines.append(f"    r{k:d} = rows[n{k:d}]")
+                if k not in live:  # the row of a merged slot is None
+                    lines.append(
+                        f"    if r{k:d} is None: n{k:d} = find(n{k:d}); r{k:d} = rows[n{k:d}]"
+                    )
+                    live.add(k)
+                rowed.add(k)
+            return f"r{k:d}"
+
+        for j, (node, src, a) in enumerate(chunk):
             if node < 0:  # check: merge the ends of one relation
                 x, y = slot(src), slot(a)
                 if x != y:
@@ -235,19 +264,27 @@ def sweep_source(ops, width):
                     live.clear()
                     rowed.clear()
                 continue
-            # step; a missing edge reads -1, and parent[-1] is never -1, so
-            # one test sends both a missing edge and a dead target to fix
-            if src == 0:
-                row = "rs"
+            # step; a missing edge reads -1, and rows[-1] is None as the
+            # row of a merged slot is, so one test sends both to fix
+            r, k = row(src), f"n{node:d}"
+            lines.append(f"    {k} = {r}[{a:d}]")
+            # A chunk ends at a check, so a step has a next op.  The walk
+            # that made this node new goes on from it at once, if at all.
+            after = chunk[j + 1]
+            if after[0] >= 0 and after[1] == node:  # fetch the row it reads
+                lines.append(f"    r{node:d} = rows[{k}]")
+                lines.append(
+                    f"    if r{node:d} is None: {k} = fix({r}, {a:d}); r{node:d} = rows[{k}]"
+                )
+                rowed.add(node)
             else:
-                row = f"r{src:d}"
-                if src not in rowed:
-                    lines.append(f"    {row} = rows[{slot(src)}]")
-                    rowed.add(src)
-            lines.append(f"    n{node:d} = {row}[{a:d}]")
-            lines.append(
-                f"    if parent[n{node:d}] != n{node:d}: n{node:d} = fix({row}, {a:d})"
-            )
+                helper = f"fix({r}, {a:d})"
+                if after[0] < 0 and node in after[1:] and after[1] != after[2]:
+                    # the next op checks this node against the other end: a
+                    # missing edge is a new slot the check would merge there
+                    other = slot(after[2] if after[1] == node else after[1])
+                    helper = f"glue({r}, {a:d}, {other})"
+                lines.append(f"    if rows[{k}] is None: {k} = {helper}")
             live.add(node)
         lines += [f"    at[{k:d}] = n{k:d}" for k in sorted(sets[i] & handed)]
         if i == len(chunks) - 1:
@@ -263,8 +300,9 @@ def enumerate_quotient(presentation, max_slots=None):
 
     Deterministic: slots are created in a fixed sweep order, so repeated
     runs produce identical tables.  Raises BudgetExceededError when more
-    than max_slots slots would be needed before closing; by default
-    max_slots is DEFAULT_BUDGET_FACTOR * cardinality_formula(n).
+    than max_slots slots would be needed before closing, or when memory
+    runs out first; by default max_slots is DEFAULT_BUDGET_FACTOR *
+    cardinality_formula(n).
     """
     width = len(presentation.alphabet)
     if width == 0:
@@ -278,17 +316,23 @@ def enumerate_quotient(presentation, max_slots=None):
     ops, nodes = sweep_ops(dict.fromkeys(presentation.relations))
 
     blank = [-1] * width
-    rows = [[-1] * width]  # rows[s][a]: the edge of slot s by letter a
+    # rows[s][a]: the edge of slot s by letter a; None for a merged slot,
+    # and a last None that a missing edge, -1, reads
+    rows = [[-1] * width, None]
     parent = [0]
     merges = 0
     peak_live = 0  # the most live slots before any merge so far
     at = [0] * nodes  # at[node]: a node's slot, handed to a later chunk
+    s = 0
 
     def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
+
+    def over_budget(t):  # the error for slot t, one past the budget
+        return BudgetExceededError(max_slots, t, merges, s, max(peak_live, t - merges))
 
     def fix(row, a):  # the edge by a, to a live slot, defined if missing
         t = row[a]
@@ -297,13 +341,27 @@ def enumerate_quotient(presentation, max_slots=None):
             return t
         t = len(parent)
         if t >= max_slots:
-            raise BudgetExceededError(
-                max_slots, t, merges, s, max(peak_live, t - merges)
-            )
+            raise over_budget(t)
         parent.append(t)
-        rows.append([-1] * width)
+        rows.insert(-1, [-1] * width)  # before the last None
         row[a] = t
         return t
+
+    def glue(row, a, x):  # fix, but a new slot is merged at once into live x
+        nonlocal merges, peak_live
+        if row[a] != -1:
+            return fix(row, a)
+        t = len(parent)
+        if t >= max_slots:
+            raise over_budget(t)
+        live = t + 1 - merges  # as merge counts it on entry
+        if live > peak_live:
+            peak_live = live
+        parent.append(x)
+        rows.append(None)  # slot t keeps the old last None as its row
+        merges += 1
+        row[a] = x
+        return x
 
     def merge(x, y):  # two live slots of different classes, and the closure
         nonlocal merges, peak_live
@@ -321,7 +379,8 @@ def enumerate_quotient(presentation, max_slots=None):
             rows[y] = None  # a merged slot is never read again
             if moved != blank:
                 row = rows[x]
-                for k, t in enumerate(moved):
+                for k in range(width):
+                    t = moved[k]
                     if t != -1:
                         u = row[k]
                         if u == -1:
@@ -342,7 +401,7 @@ def enumerate_quotient(presentation, max_slots=None):
 
     namespace = {
         "parent": parent, "rows": rows, "at": at,
-        "find": find, "fix": fix, "merge": merge,
+        "find": find, "fix": fix, "glue": glue, "merge": merge,
     }
     chunks = []
     for source in sweep_source(ops, width):
@@ -353,34 +412,56 @@ def enumerate_quotient(presentation, max_slots=None):
     # the rows are lists, so the cyclic collector would walk the growing
     # table again and again; they form no cycles, so it waits for the end
     with _gc_paused():
-        s = 0
-        while s < len(parent):
-            if parent[s] == s:
-                rs = rows[s]
-                for chunk in chunks:
-                    if chunk(s, rs):
-                        # s was absorbed by a smaller slot, which was already
-                        # swept in full while live; nothing left to do here.
-                        break
-            s += 1
+        try:
+            # rows grows while it is swept, and a list iterator reads each
+            # position as it reaches it, so every slot defined is swept
+            for s, rs in enumerate(rows):
+                if rs is not None:
+                    for chunk in chunks:
+                        if chunk(s, rs):
+                            # s was absorbed by a smaller slot, which was
+                            # already swept in full while live; nothing left
+                            # to do here.
+                            break
+            # The live rows are the rows that are not None, in id order.  A
+            # slot's parent is never larger than the slot, so one pass in id
+            # order turns parent into every slot's class number.
+            assert -1 not in chain.from_iterable(filter(None, rows)), (
+                "live slot with an undefined edge after closure"
+            )
+            size = 0
+            for i, p in enumerate(parent):
+                if p == i:
+                    parent[i] = size
+                    size += 1
+                else:
+                    parent[i] = parent[p]
+            edges = tuple(
+                chain.from_iterable(
+                    map(map, repeat(parent.__getitem__), filter(None, rows))
+                )
+            )
+        except MemoryError:
+            # Free the rows before anything else allocates.  Until then any
+            # allocation can fail, and a failure here would go to the
+            # handler of the ``with``: CPython 3.11 allocates an int to
+            # enter it, and retries for as long as memory stays full.
+            rows.clear()
+            slots_used = len(parent)
+            parent.clear()
+            raise BudgetExceededError(
+                max_slots, slots_used, merges, s,
+                max(peak_live, slots_used - merges), reason="out of memory",
+            ) from None
 
-    live = [i for i in range(len(parent)) if parent[i] == i]
-    number = {old: new for new, old in enumerate(live)}
-
-    def renumbered():
-        for old in live:
-            for t in rows[old]:
-                assert t != -1, "live slot with an undefined edge after closure"
-                yield number[find(t)]
-
+    slots_used = len(parent)
     return CongruenceTable(
         presentation.alphabet,
-        len(live),
-        # from a generator: no list of the edges is held next to the tuple
-        tuple(renumbered()),
-        len(parent),
+        size,
+        edges,
+        slots_used,
         merges,
-        max(peak_live, len(parent) - merges),
+        max(peak_live, slots_used - merges),
     )
 
 

@@ -407,3 +407,35 @@ def test_an_exhausted_budget_in_a_fresh_process_is_inconclusive():
     assert obj.keys() == {"n", "verdict", "detail"}
     assert obj["n"] == 3 and obj["verdict"] == "inconclusive"
     assert obj["detail"].startswith("inconclusive (budget): 5 slots created, budget 5")
+
+
+# Run in a child whose address space may grow by 24 MB past what the
+# imported CLI holds: the slot budget of these commands is far larger.
+OUT_OF_MEMORY_CHILD = """
+import resource, sys
+from cycliso.cli import main
+with open("/proc/self/statm") as f:
+    size = int(f.read().split()[0]) * resource.getpagesize()
+limit = size + (24 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+@pytest.mark.parametrize(
+    "command", ["lemmas --n 12", "tietze --n 12", "present verify --n 12 --which Q"]
+)
+def test_running_out_of_memory_is_inconclusive(command):
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY_CHILD, *command.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ""
+    obj = json.loads(proc.stdout)
+    assert obj.keys() == {"n", "verdict", "detail"}
+    assert obj["n"] == 12 and obj["verdict"] == "inconclusive"
+    assert obj["detail"].startswith("inconclusive (out of memory): ")

@@ -451,3 +451,27 @@ def test_budget_error_reports_how_far_the_sweep_got(presentation, budget, swept,
     exc = info.value
     assert (exc.slots_used, exc.merges, exc.swept) == (budget, merges, swept)
     assert f"{swept} slots swept" in str(exc)
+
+
+@pytest.mark.parametrize("which", ["R", "Q"])
+def test_every_budget_matches_the_reference(tables, which):
+    # A budget can run out where a step defines a slot (fix) or where it
+    # glues one into the other end of its relation (glue); at n=3 every
+    # budget up to the closed run's count is tried, at n=4 every 31st.
+    raised_in = set()
+    for n, stride in ((3, 1), (4, 31)):
+        pres = build_R(n) if which == "R" else build_Q(n)
+        closed = tables(which, n).slots_used
+        for budget in range(closed, 0, -stride):
+            try:
+                got = enumerate_quotient(pres, budget)
+            except BudgetExceededError as exc:
+                assert exc.slots_used == budget
+                got = exc.slots_used, exc.merges
+                tb = exc.__traceback__
+                while tb.tb_next is not None:
+                    tb = tb.tb_next
+                raised_in.add(tb.tb_frame.f_code.co_name)
+            assert got == outcome(reference_enumerate, pres, budget), (n, budget)
+            assert isinstance(got, CongruenceTable) == (budget == closed), (n, budget)
+    assert raised_in == {"fix", "glue"}
