@@ -16,10 +16,11 @@ Subcommands:
 - ``tietze``: cross-derivability of the two presentations.
 
 Exit codes: 0 all checks passed, 1 a verification failed, an internal
-error or output that could not be written, 2 a bad command line
-(refused before any work), 3 enumeration hit its slot budget or ran
-out of memory (inconclusive; every such command prints
-``{"n", "verdict", "detail"}``).
+error, output that could not be written, or memory that ran out outside
+the congruence enumeration (``error: out of memory``), 2 a bad command
+line (refused before any work), 3 the congruence enumeration hit its
+slot budget or ran out of memory (inconclusive; every such command
+prints ``{"n", "verdict", "detail"}``).
 """
 
 import argparse
@@ -27,8 +28,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import compress, islice
-from operator import itemgetter
+from itertools import islice, starmap, zip_longest
+from operator import eq, itemgetter
 
 import cycliso
 from .dihedral import symmetry_rows
@@ -42,6 +43,7 @@ from .monoid import (
     cardinality_formula,
     rank_search,
     restriction_layout,
+    restriction_rows,
 )
 
 # The commands that read congruences, presentations or Green's classes
@@ -121,7 +123,11 @@ def _emit(obj, out):
 
 
 def _layout_lines(n):
-    """The lines of ``build_by_restrictions(n)``, from its layout."""
+    """The lines of ``build_by_restrictions(n)``, from its layout.
+
+    Every ``enumerate`` prints through here, whichever route built and
+    checked the monoid.
+    """
     # label[0] is "", so images[k][x] is the label of symmetry k's image
     # of point x, and images[k][0] is a "" that every gather ends with:
     # one index alone would give a bare "12", joined as "1,2" (the empty
@@ -135,29 +141,20 @@ def _layout_lines(n):
             yield prefix + ",".join(gather(images[k])[:-1]) + "]}\n"
 
 
-def _row_lines(n, rows):
-    """The lines of a monoid's rows, one row at a time."""
-    label = tuple(map(str, range(n + 1)))
-    points = label[1:]
-    for row in rows:
-        yield '{"n":%d,"dom":[%s],"img":[%s]}\n' % (
-            n,
-            ",".join(compress(points, row)),
-            ",".join(map(label.__getitem__, filter(None, row))),
-        )
-
-
 def cmd_enumerate(args):
     if args.method == "bruteforce" and args.n > BRUTEFORCE_BOUND:
         raise UsageError(f"n={args.n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
-    monoid = BUILDERS[args.method](args.n)
+    rows = BUILDERS[args.method](args.n).rows
+    # the restriction theorem at this n: another route's checked monoid
+    # must hold the layout's rows, row for row (the restriction route's
+    # monoid is built from those rows)
+    if args.method != "restrictions" and not all(
+        starmap(eq, zip_longest(rows, restriction_rows(args.n)))
+    ):
+        raise ValueError(f"the {args.method} rows differ from the restriction layout")
+    del rows  # checked; the lines come from the layout alone
     # each line has the bytes of json.dumps(a.to_json(), separators=(",", ":"))
-    if args.method == "restrictions":
-        # the monoid checked the rows the layout gives; print from the layout
-        del monoid
-        lines = _layout_lines(args.n)
-    else:
-        lines = _row_lines(args.n, monoid.rows)
+    lines = _layout_lines(args.n)
     with _output(args.out) as fh:
         # in batches: neither the whole text nor one write per line
         for batch in iter(lambda: "".join(islice(lines, ENUMERATE_BATCH)), ""):
@@ -393,19 +390,24 @@ def _run(args):
     """The command's exit code, with its inconclusive and error outcomes.
 
     An except clause names its class only when an exception reaches it, so
-    ``cycliso.BudgetExceededError`` loads congruence.py no sooner than that.
+    ``cycliso.BudgetExceededError`` loads congruence.py no sooner than that,
+    and a ``MemoryError`` is caught before that load is tried.
     """
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # reported below, once the traceback's frames have freed their data
     except cycliso.BudgetExceededError as exc:
         _emit({"n": args.n, "verdict": "inconclusive", "detail": str(exc)}, args.out)
         return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_FAIL
 
 
 def main(argv=None):

@@ -67,7 +67,6 @@ of the presented one, so equality of (finite) sizes pins them equal.
 
 import gc
 import time
-from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import index
 
@@ -173,18 +172,6 @@ def sweep_ops(relations):
             ends.append(node)
         ops.append((-1, *ends))
     return ops, len(child) + 1
-
-
-@contextmanager
-def _gc_paused():
-    """Cyclic garbage collection off for the block, then as the caller had it."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def sweep_source(ops, width):
@@ -411,48 +398,53 @@ def enumerate_quotient(presentation, max_slots=None):
 
     # the rows are lists, so the cyclic collector would walk the growing
     # table again and again; they form no cycles, so it waits for the end
-    with _gc_paused():
-        try:
-            # rows grows while it is swept, and a list iterator reads each
-            # position as it reaches it, so every slot defined is swept
-            for s, rs in enumerate(rows):
-                if rs is not None:
-                    for chunk in chunks:
-                        if chunk(s, rs):
-                            # s was absorbed by a smaller slot, which was
-                            # already swept in full while live; nothing left
-                            # to do here.
-                            break
-            # The live rows are the rows that are not None, in id order.  A
-            # slot's parent is never larger than the slot, so one pass in id
-            # order turns parent into every slot's class number.
-            assert -1 not in chain.from_iterable(filter(None, rows)), (
-                "live slot with an undefined edge after closure"
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # rows grows while it is swept, and a list iterator reads each
+        # position as it reaches it, so every slot defined is swept
+        for s, rs in enumerate(rows):
+            if rs is not None:
+                for chunk in chunks:
+                    if chunk(s, rs):
+                        # s was absorbed by a smaller slot, which was
+                        # already swept in full while live; nothing left
+                        # to do here.
+                        break
+        # The live rows are the rows that are not None, in id order.  A
+        # slot's parent is never larger than the slot, so one pass in id
+        # order turns parent into every slot's class number.
+        assert -1 not in chain.from_iterable(filter(None, rows)), (
+            "live slot with an undefined edge after closure"
+        )
+        size = 0
+        for i, p in enumerate(parent):
+            if p == i:
+                parent[i] = size
+                size += 1
+            else:
+                parent[i] = parent[p]
+        edges = tuple(
+            chain.from_iterable(
+                map(map, repeat(parent.__getitem__), filter(None, rows))
             )
-            size = 0
-            for i, p in enumerate(parent):
-                if p == i:
-                    parent[i] = size
-                    size += 1
-                else:
-                    parent[i] = parent[p]
-            edges = tuple(
-                chain.from_iterable(
-                    map(map, repeat(parent.__getitem__), filter(None, rows))
-                )
-            )
-        except MemoryError:
-            # Free the rows before anything else allocates.  Until then any
-            # allocation can fail, and a failure here would go to the
-            # handler of the ``with``: CPython 3.11 allocates an int to
-            # enter it, and retries for as long as memory stays full.
-            rows.clear()
-            slots_used = len(parent)
-            parent.clear()
-            raise BudgetExceededError(
-                max_slots, slots_used, merges, s,
-                max(peak_live, slots_used - merges), reason="out of memory",
-            ) from None
+        )
+    except MemoryError:
+        # Free the rows before anything else allocates.  Until then any
+        # allocation can fail, and a MemoryError raised in this clause
+        # would leave without the inconclusive verdict.  This clause runs
+        # before the finally clause, so the collector comes back on only
+        # once the table is gone, and never walks it while memory is full.
+        rows.clear()
+        slots_used = len(parent)
+        parent.clear()
+        raise BudgetExceededError(
+            max_slots, slots_used, merges, s,
+            max(peak_live, slots_used - merges), reason="out of memory",
+        ) from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     slots_used = len(parent)
     return CongruenceTable(

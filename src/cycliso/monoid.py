@@ -35,6 +35,7 @@ __all__ = [
     "closure_rows",
     "monoid_closure",
     "restriction_layout",
+    "restriction_rows",
     "build_by_restrictions",
     "build_by_closure",
     "build_by_bruteforce",
@@ -296,18 +297,15 @@ def restriction_layout(n):
             yield dom, order
 
 
-def build_by_restrictions(n):
-    """Every restriction of every cycle symmetry; the reference builder.
+def restriction_rows(n):
+    """The rows of ``restriction_layout(n)`` as bytes, in its order, unchecked.
 
     Reads each domain's partial identity through the tables of the
-    symmetries ``restriction_layout(n)`` lists for it, so the rows
-    arrive in canonical order with no sort, streamed into the monoid.
+    symmetries the layout lists for it, one row at a time.
 
-    >>> m = build_by_restrictions(4)
-    >>> len(m)
-    97
-    >>> m[0].to_json(), m[1].to_json()
-    ({'n': 4, 'dom': [], 'img': []}, {'n': 4, 'dom': [1], 'img': [1]})
+    >>> rows = restriction_rows(3)
+    >>> [tuple(next(rows)) for _ in range(3)]
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
     """
     _check_n(n)
     _check_byte_n(n)
@@ -319,8 +317,22 @@ def build_by_restrictions(n):
             ident[x - 1] = x
         return map(bytes(ident).translate, map(tables.__getitem__, ks))
 
-    rows = chain.from_iterable(starmap(restrictions, restriction_layout(n)))
-    return FiniteMonoid(n, rows, standard_generators(n))
+    return chain.from_iterable(starmap(restrictions, restriction_layout(n)))
+
+
+def build_by_restrictions(n):
+    """Every restriction of every cycle symmetry; the reference builder.
+
+    The rows of ``restriction_rows(n)`` arrive in canonical order with
+    no sort, streamed into the monoid.
+
+    >>> m = build_by_restrictions(4)
+    >>> len(m)
+    97
+    >>> m[0].to_json(), m[1].to_json()
+    ({'n': 4, 'dom': [], 'img': []}, {'n': 4, 'dom': [1], 'img': [1]})
+    """
+    return FiniteMonoid(n, restriction_rows(n), standard_generators(n))
 
 
 def build_by_closure(n):

@@ -101,12 +101,14 @@ class PartialPerm:
     @classmethod
     def from_pairs(cls, n, pairs):
         """Build from a dict {x: y} or an iterable of (x, y) pairs."""
+        n = integer(n, "point count")
         mapping = dict(pairs) if not isinstance(pairs, dict) else pairs
         row = [0] * n
         for x, y in mapping.items():
+            x = integer(x, "domain point")
             if not 1 <= x <= n:
                 raise ValueError(f"domain point {x!r} outside 1..{n}")
-            row[x - 1] = y
+            row[x - 1] = integer(y, "image")
         return cls(n, row)
 
     @classmethod
@@ -226,6 +228,8 @@ def idempotent(n, i):
     These n maps, together with the identity, generate all the partial
     identities: the product of the maps for a set X is the identity off X.
     """
+    n = integer(n, "point count")
+    i = integer(i, "point")
     if not 1 <= i <= n:
         raise ValueError(f"point {i!r} outside 1..{n}")
     return PartialPerm(n, tuple(0 if j == i else j for j in range(1, n + 1)))

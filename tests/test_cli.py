@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cycliso import build_by_restrictions, build_R, cardinality_formula
+from cycliso import FiniteMonoid, build_by_restrictions, build_R, cardinality_formula
 import cycliso.congruence
 import cycliso.monoid
 from cycliso import cli
@@ -98,7 +98,7 @@ def test_enumerate_methods_agree(capsys):
     [(n, method) for n in [3, 4, 5, 6] for method in ["restrictions", "closure", "bruteforce"]]
     # two-digit labels: rank-1 domains on points >= 10, and at n=10 the
     # antipodal pairs, each line gathered from one symmetry's labels
-    + [(10, "restrictions"), (11, "restrictions")],
+    + [(10, "restrictions"), (11, "restrictions"), (10, "closure"), (11, "closure")],
 )
 def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
     code, out, _ = run(capsys, "enumerate", "--n", str(n), "--method", method)
@@ -117,6 +117,30 @@ def test_enumerate_checks_the_monoid_before_it_prints(monkeypatch, capsys):
     code, out, err = run(capsys, "enumerate", "--n", "5")
     assert code == 1 and out == ""
     assert err == "internal error: row rejected\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # one row short: the layout is the longer
+        ((1, 2, 0, 0), None),
+        # 1 -> 1 and 3 -> 2 is no isometry, but the rows keep canonical order
+        ((1, 0, 3, 0), (1, 0, 2, 0)),
+    ],
+    ids=["row-missing", "row-replaced"],
+)
+def test_enumerate_prints_nothing_from_a_route_that_differs_from_the_layout(
+    old, new, monkeypatch, capsys
+):
+    m = build_by_restrictions(4)
+    rows = list(m.rows)
+    i = rows.index(bytes(old))
+    rows[i:i + 1] = [bytes(new)] if new else []
+    monoid = FiniteMonoid(4, rows, m.generators)
+    monkeypatch.setitem(cli.BUILDERS, "closure", lambda n: monoid)
+    code, out, err = run(capsys, "enumerate", "--n", "4", "--method", "closure")
+    assert code == 1 and out == ""
+    assert err == "internal error: the closure rows differ from the restriction layout\n"
 
 
 def test_enumerate_writes_in_batches(monkeypatch):
@@ -439,3 +463,30 @@ def test_running_out_of_memory_is_inconclusive(command):
     assert obj.keys() == {"n", "verdict", "detail"}
     assert obj["n"] == 12 and obj["verdict"] == "inconclusive"
     assert obj["detail"].startswith("inconclusive (out of memory): ")
+
+
+# the same child with 16 MB to grow by: each command below runs out while
+# it builds the monoid or imports a module, outside the HLT sweep
+TIGHT_OUT_OF_MEMORY_CHILD = OUT_OF_MEMORY_CHILD.replace("(24 << 20)", "(16 << 20)")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+@pytest.mark.parametrize(
+    "command",
+    [
+        "enumerate --n 14 --out /dev/null",
+        "green --n 13 --relation J",
+        "present verify --n 14 --which R",
+    ],
+)
+def test_running_out_of_memory_elsewhere_is_a_one_line_error(command):
+    assert TIGHT_OUT_OF_MEMORY_CHILD != OUT_OF_MEMORY_CHILD
+    proc = subprocess.run(
+        [sys.executable, "-c", TIGHT_OUT_OF_MEMORY_CHILD, *command.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"

@@ -107,6 +107,24 @@ def test_the_point_count_must_be_an_integer(n):
         PartialPerm(n, (1, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: idempotent(3, 1.5), "point 1.5"),
+        (lambda: idempotent(3.0, 1), "point count 3.0"),
+        (lambda: PartialPerm.from_pairs(3.0, {1: 2}), "point count 3.0"),
+        (lambda: PartialPerm.from_pairs(3, {1.5: 2}), "domain point 1.5"),
+        (lambda: PartialPerm.from_pairs(3, {1: 2.5}), "image 2.5"),
+        (lambda: PartialPerm.from_json({"n": 3, "dom": [1.0], "img": [2]}), "domain point 1.0"),
+    ],
+    ids=["idempotent-point", "idempotent-n", "pairs-n", "pairs-point", "pairs-image", "json-point"],
+)
+def test_points_must_be_integers(build, what):
+    # before, idempotent(3, 1.5) was the identity and the rest raised TypeError
+    with pytest.raises(ValueError, match=f"^{what} is not an integer$"):
+        build()
+
+
 def test_from_pairs_rejects_bad_domain():
     with pytest.raises(ValueError):
         PartialPerm.from_pairs(3, {4: 1})
