@@ -2,12 +2,19 @@
 
 Two routes, kept independent on purpose:
 
-- ``green_LRH`` and ``green_J`` use the structure theory, reading every
-  key off the element's row as a bitmask: L is "same image", R is "same
-  domain", H is both, and J is "same dihedral orbit of the domain".
-  Every element is a restriction of one of the 2n symmetries, so a
-  partial isometry carries one domain onto another exactly when a
-  symmetry does.
+- ``green_LRH`` and ``green_J`` use the structure theory: L is "same
+  image", R is "same domain", H is both, and J is "same dihedral orbit
+  of the domain".  Every element is a restriction of one of the 2n
+  symmetries, so a partial isometry carries one domain onto another
+  exactly when a symmetry does.  Each key is read off the element's
+  bytes row by C calls, with no Python frame per element: the domain
+  key is ``row.translate(_OFF_DOMAIN)``, the middle term of
+  ``canonical_bytes_key``, and the image key comes from
+  ``bytes.maketrans``.  R and J rely on the order the monoid's
+  constructor checked (rank, then domain, then images), which keeps the
+  rows of each domain consecutive: an R class is a run of equal domain
+  keys, and a J class joins the runs whose domains share a dihedral
+  orbit, looked up once per run.
 - ``green_oracle`` uses only the definitions, computing principal ideals
   M a, a M and M a M from the full multiplication table.
 
@@ -16,11 +23,12 @@ The two must produce identical partitions; tests enforce that.
 
 from collections import Counter
 from functools import reduce
-from itertools import compress
-from operator import or_
+from itertools import chain, groupby, repeat
+from operator import getitem, or_
 
 from .dihedral import mask_images
 from .monoid import product_table
+from .partial_perm import _OFF_DOMAIN
 from .record import Record
 
 __all__ = ["GreenClasses", "green_LRH", "green_J", "green_oracle"]
@@ -45,23 +53,55 @@ class GreenClasses(Record):
 
 
 def _group_by(keyed):
-    """(key, ordinal) pairs, ordinals increasing -> sorted GreenClasses body."""
+    """(key, item) pairs -> the items of each key, keys in order of first item.
+
+    Fed ordinals in increasing order, this is a sorted GreenClasses body.
+    """
     buckets = {}
     for key, i in keyed:
         buckets.setdefault(key, []).append(i)
     return tuple(map(tuple, buckets.values()))
 
 
-def _domain_masks(m):
-    """Each element's domain mask: bit i is set iff point i + 1 is in it."""
-    bits = [1 << i for i in range(m.n)]
-    return (sum(compress(bits, row)) for row in m.rows)
+def _domain_keys(m):
+    """Each row's domain key: byte i is 1 iff point i + 1 is off the domain."""
+    return map(bytes.translate, m.rows, repeat(_OFF_DOMAIN))
 
 
-def _image_masks(m):
-    """Each element's image mask: bit y - 1 is set iff point y is in it."""
-    bit = (0,) + tuple(1 << i for i in range(m.n))
-    return (sum(map(bit.__getitem__, row)) for row in m.rows)
+def _image_keys(m):
+    """Each row's image key: byte y - 1 is 0 iff point y is in the image.
+
+    ``bytes.maketrans(row, zeros)`` is the identity table with 0 at each
+    value of the row; bytes 1..n of it mark the image.
+    """
+    n = m.n
+    tables = map(bytes.maketrans, m.rows, repeat(bytes(n)))
+    return map(getitem, tables, repeat(slice(1, n + 1)))
+
+
+def _domain_runs(m):
+    """(domain key, ordinals) for each domain, the ordinals a range.
+
+    The monoid's constructor checked that its rows are in canonical
+    order, by rank, then domain, then images, so the rows of one domain
+    are consecutive and each domain is one run of equal keys.
+    """
+    runs = []
+    start = 0
+    for key, rows in groupby(_domain_keys(m)):
+        stop = start + len(list(rows))
+        runs.append((key, range(start, stop)))
+        start = stop
+    return runs
+
+
+# a domain key read through it spells the domain in binary, point 1 first
+_MASK_DIGITS = bytes.maketrans(b"\0\1", b"10")
+
+
+def _domain_mask(key):
+    """The mask of a domain key's domain: bit i is set iff point i + 1 is in it."""
+    return int(key.translate(_MASK_DIGITS)[::-1], 2)
 
 
 def _orbit_keys(n):
@@ -85,15 +125,18 @@ def _orbit_keys(n):
 
 
 def green_LRH(m, relation):
-    """L, R or H classes via image mask / domain mask / both."""
+    """L, R or H classes: same image, same domain, or both.
+
+    R classes are the domain runs of the canonical order; L and H group
+    the ordinals by image key, and H by domain key too.
+    """
     if relation not in ("L", "R", "H"):
         raise ValueError(f"relation must be L, R or H, got {relation!r}")
-    if relation == "L":
-        keys = _image_masks(m)
-    elif relation == "R":
-        keys = _domain_masks(m)
-    else:
-        keys = zip(_domain_masks(m), _image_masks(m))
+    if relation == "R":
+        return GreenClasses("R", tuple(tuple(run) for _, run in _domain_runs(m)))
+    keys = _image_keys(m)
+    if relation == "H":
+        keys = zip(_domain_keys(m), keys)
     return GreenClasses(relation, _group_by(zip(keys, range(len(m)))))
 
 
@@ -101,13 +144,16 @@ def green_J(m, metric):
     """J classes: two elements are related iff a symmetry of the cycle
     carries one domain onto the other.
 
+    Each domain run of the canonical order joins the class of its
+    domain's dihedral orbit, so the orbit is looked up once per domain.
     ``metric`` must be the cycle metric the monoid lives on.
     """
     if metric.n != m.n:
         raise ValueError(f"metric on {metric.n} points, monoid on {m.n}")
     key = _orbit_keys(m.n)
-    keyed = zip(map(key.__getitem__, _domain_masks(m)), range(len(m)))
-    return GreenClasses("J", _group_by(keyed))
+    keyed = ((key[_domain_mask(dom)], run) for dom, run in _domain_runs(m))
+    classes = _group_by(keyed)
+    return GreenClasses("J", tuple(tuple(chain.from_iterable(runs)) for runs in classes))
 
 
 def green_oracle(m, relation):

@@ -91,7 +91,8 @@ def _checked_rows(n, rows):
 
     Only when a row will not convert, or fails the checks in C, are the
     rows checked one by one, so that the first bad row raises just what
-    ``check_row`` raises for it.
+    ``check_row`` raises for it.  ``check_row`` takes only integers, so
+    a row it passes converts and passes in C too.
     """
     rows = tuple(rows)
     try:
@@ -104,8 +105,6 @@ def _checked_rows(n, rows):
         pass
     for row in rows:
         check_row(n, row)
-    # every row passed, so only a zero such as 0.0 kept bytes() from it
-    return tuple(bytes(0 if y == 0 else y for y in row) for row in rows)
 
 
 class FiniteMonoid:

@@ -14,7 +14,7 @@ Conventions used throughout this package:
 {'n': 4, 'dom': [1], 'img': [3]}
 """
 
-from itertools import compress, count
+from itertools import compress, count, repeat
 
 from .record import integer
 
@@ -28,14 +28,36 @@ __all__ = [
 
 
 def check_row(n, row):
-    """Raise ValueError unless ``row`` is an injective partial map of
-    {1, ..., n}: n slots, each 0 or an image in 1..n, no image twice."""
+    """The sequence ``row`` as a tuple of ints, once it is checked to be an
+    injective partial map of {1, ..., n}: n slots, each 0 or an image in
+    1..n, no image twice.  Otherwise raise ValueError.
+
+    A row that converts to bytes is checked in C.  Any other row, and
+    one that fails, is checked slot by slot, each image taken through
+    ``record.integer``, so the error names the first bad image.
+
+    >>> check_row(3, (True, 0, 2))
+    (1, 0, 2)
+    >>> check_row(3, (2.0, 0, 0))
+    Traceback (most recent call last):
+    ValueError: image 2.0 is not an integer
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if len(row) != n:
         raise ValueError(f"row has {len(row)} slots, expected {n}")
+    try:
+        ints = bytes(row)
+    except (TypeError, ValueError):  # a non-integer, or one outside 0..255
+        ints = tuple(map(integer, row, repeat("image")))
+    else:
+        # the identity table with 0 at each value of the row: its zeros
+        # at 0..n count 0 and the distinct images in 1..n, one per
+        # nonzero slot exactly when the row passes
+        if bytes.maketrans(ints, bytes(n)).count(0, 0, n + 1) == n + 1 - ints.count(0):
+            return tuple(ints)
     seen = 0
-    for y in row:
+    for y in ints:
         if y == 0:
             continue
         if not 1 <= y <= n:
@@ -44,6 +66,7 @@ def check_row(n, row):
         if seen & bit:
             raise ValueError(f"not injective: image {y} repeated")
         seen |= bit
+    return tuple(ints)
 
 
 def canonical_key(row):
@@ -91,10 +114,8 @@ class PartialPerm:
 
     def __init__(self, n, row):
         n = integer(n, "point count")
-        row = tuple(row)
-        check_row(n, row)
         self.n = n
-        self.row = row
+        self.row = check_row(n, tuple(row))
 
     # -- constructors ------------------------------------------------
 

@@ -1,13 +1,16 @@
 from collections import Counter
+from itertools import compress
 from math import gcd
 
 import pytest
 
 from cycliso import (
     CycleMetric,
+    FiniteMonoid,
     GreenClasses,
     PartialPerm,
     build_by_restrictions,
+    cardinality_formula,
     green_J,
     green_LRH,
     green_oracle,
@@ -16,6 +19,8 @@ from cycliso import (
 )
 from cycliso import green
 from cycliso.dihedral import mask_images, symmetry_rows
+from cycliso.monoid import closure_rows, standard_generators
+from cycliso.partial_perm import canonical_bytes_key
 
 
 def class_of(classes, m, a):
@@ -93,6 +98,56 @@ def test_characterization_matches_oracle():
         assert green_J(m, metric).partition() == green_oracle(m, "J").partition()
 
 
+def reference_classes(m, relation):
+    """L, R, H or J classes from int bitmask keys, grouped element by element.
+
+    The reference for the keys ``green`` reads in C and for its R and J
+    classes from the runs of the canonical order: each key is a bitmask
+    read off the row, J's the least mask in its domain's dihedral orbit,
+    and no order of the rows is assumed.
+    """
+    n = m.n
+    bits = [1 << i for i in range(n)]
+    domains = [sum(compress(bits, row)) for row in m.rows]
+    bit = (0, *bits)
+    images = [sum(map(bit.__getitem__, row)) for row in m.rows]
+    if relation == "L":
+        keys = images
+    elif relation == "R":
+        keys = domains
+    elif relation == "H":
+        keys = list(zip(domains, images))
+    else:
+        orbit = {d: min(mask_images(n, d)) for d in set(domains)}
+        keys = [orbit[d] for d in domains]
+    buckets = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    return GreenClasses(relation, tuple(map(tuple, buckets.values())))
+
+
+def rotations_and_idempotents(n):
+    """The submonoid generated by g and e_n, canonical but not all of M."""
+    gens = standard_generators(n)
+    rows = closure_rows(n, [gens["g"].row, gens["e_n"].row])
+    return FiniteMonoid(n, sorted(rows, key=canonical_bytes_key), {})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_by_restrictions, lambda n: units(build_by_restrictions(n)), rotations_and_idempotents],
+    ids=["M", "units", "rotations"],
+)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_keys_read_in_C_give_the_int_mask_classes(n, build):
+    m = build(n)
+    if build is rotations_and_idempotents:
+        assert len(m) < cardinality_formula(n)
+    for relation in "LRH":
+        assert green_LRH(m, relation) == reference_classes(m, relation), relation
+    assert green_J(m, CycleMetric(n)) == reference_classes(m, "J")
+
+
 def _domains_related(metric, dom_a, dom_b):
     """Does some symmetry of the k index positions carry dom_b onto dom_a
     through a partial isometry of the n-cycle?
@@ -165,7 +220,7 @@ def test_class_sizes_match_stabiliser_closed_forms():
     # on A, so that many elements have domain A (an R class) or image A
     # (an L class).  The maps from A onto one B in its orbit are an H
     # class of |Stab(A)|/|Fix(A)| elements, and a J class is one orbit.
-    for n in range(3, 12):
+    for n in range(3, 13):
         rows = symmetry_rows(n)
         lr, h, j = Counter(), Counter(), Counter()
         for mask in range(1 << n):

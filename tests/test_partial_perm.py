@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cycliso import PartialPerm, build_by_bruteforce, build_by_restrictions, idempotent
 from cycliso.dihedral import DihedralElement
+from cycliso.partial_perm import check_row
 
 
 def pperm(n, mapping):
@@ -116,13 +117,42 @@ def test_the_point_count_must_be_an_integer(n):
         (lambda: PartialPerm.from_pairs(3, {1.5: 2}), "domain point 1.5"),
         (lambda: PartialPerm.from_pairs(3, {1: 2.5}), "image 2.5"),
         (lambda: PartialPerm.from_json({"n": 3, "dom": [1.0], "img": [2]}), "domain point 1.0"),
+        (lambda: PartialPerm(3, (2.0, 0, 0)), "image 2.0"),
+        (lambda: PartialPerm(3, (1, 0.0, 0)), "image 0.0"),
+        (lambda: PartialPerm(3, (1, "2", 0)), "image '2'"),
+        (lambda: PartialPerm(300, (0,) * 299 + (2.0,)), "image 2.0"),
     ],
-    ids=["idempotent-point", "idempotent-n", "pairs-n", "pairs-point", "pairs-image", "json-point"],
+    ids=[
+        "idempotent-point",
+        "idempotent-n",
+        "pairs-n",
+        "pairs-point",
+        "pairs-image",
+        "json-point",
+        "row-image",
+        "row-zero",
+        "row-str",
+        "wide-row-image",
+    ],
 )
 def test_points_must_be_integers(build, what):
-    # before, idempotent(3, 1.5) was the identity and the rest raised TypeError
+    # before, idempotent(3, 1.5) was the identity, PartialPerm(3, (1, 0.0, 0))
+    # was built, and the rest raised TypeError
     with pytest.raises(ValueError, match=f"^{what} is not an integer$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "n, row",
+    [(3, (True, 0, 2)), (3, [3, False, True]), (3, b"\x02\x00\x01"), (300, (True,) + (0,) * 299)],
+    ids=["bools", "list", "bytes", "wide"],
+)
+def test_a_row_holds_only_ints(n, row):
+    # before, PartialPerm(3, (True, 0, 2)) kept True in its row
+    a = PartialPerm(n, row)
+    assert a.row == tuple(row)
+    assert set(map(type, a.row)) == {int}
+    assert check_row(n, row) == a.row
 
 
 def test_from_pairs_rejects_bad_domain():
