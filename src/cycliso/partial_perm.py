@@ -32,9 +32,8 @@ def check_row(n, row):
     injective partial map of {1, ..., n}: n slots, each 0 or an image in
     1..n, no image twice.  Otherwise raise ValueError.
 
-    A row that converts to bytes is checked in C.  Any other row, and
-    one that fails, is checked slot by slot, each image taken through
-    ``record.integer``, so the error names the first bad image.
+    Each image is taken through ``record.integer``, so a non-integer
+    raises ValueError naming it.
 
     >>> check_row(3, (True, 0, 2))
     (1, 0, 2)
@@ -46,16 +45,7 @@ def check_row(n, row):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if len(row) != n:
         raise ValueError(f"row has {len(row)} slots, expected {n}")
-    try:
-        ints = bytes(row)
-    except (TypeError, ValueError):  # a non-integer, or one outside 0..255
-        ints = tuple(map(integer, row, repeat("image")))
-    else:
-        # the identity table with 0 at each value of the row: its zeros
-        # at 0..n count 0 and the distinct images in 1..n, one per
-        # nonzero slot exactly when the row passes
-        if bytes.maketrans(ints, bytes(n)).count(0, 0, n + 1) == n + 1 - ints.count(0):
-            return tuple(ints)
+    ints = tuple(map(integer, row, repeat("image")))
     seen = 0
     for y in ints:
         if y == 0:
@@ -66,7 +56,7 @@ def check_row(n, row):
         if seen & bit:
             raise ValueError(f"not injective: image {y} repeated")
         seen |= bit
-    return tuple(ints)
+    return ints
 
 
 def canonical_key(row):

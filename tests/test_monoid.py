@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 import weakref
+from array import array
 from itertools import combinations, permutations
 from operator import mul
 
@@ -256,10 +257,32 @@ def test_identity_must_be_present(rows, generators):
 
 @pytest.mark.parametrize(
     "bad",
-    [(-1, 0, 0), (2.0, 0, 0), (0.0, 0, 0), (0, 2, 2), (1, 2), (1, 2, 3, 0), ("1", 0, 0), (300, 0, 0)],
-    ids=["negative", "float", "float-zero", "repeated-image", "short", "long", "str", "above-255"],
+    [
+        (-1, 0, 0),
+        (2.0, 0, 0),
+        (0.0, 0, 0),
+        (0, 2, 2),
+        array("i", [0, 2, 2]),
+        (1, 2),
+        (1, 2, 3, 0),
+        ("1", 0, 0),
+        (300, 0, 0),
+    ],
+    ids=[
+        "negative",
+        "float",
+        "float-zero",
+        "repeated-image",
+        "repeated-image-int-array",
+        "short",
+        "long",
+        "str",
+        "above-255",
+    ],
 )
-@pytest.mark.parametrize("place", ["first", "after-identity", "after-an-order-error"])
+@pytest.mark.parametrize(
+    "place", ["first", "after-identity", "after-an-order-error", "after-an-int-array"]
+)
 def test_constructor_rejects_what_check_row_rejects(bad, place):
     # before, check_row raised TypeError for the float and the string and
     # passed the float zero, which the constructor then stored as a 0 byte
@@ -271,6 +294,8 @@ def test_constructor_rejects_what_check_row_rejects(bad, place):
         "after-identity": [ident, bad],
         # the order fails first, but every row is checked before that is raised
         "after-an-order-error": [ident, (0, 0, 0), bad],
+        # a good row whose buffer holds 4-byte items, not its images
+        "after-an-int-array": [array("i", ident), bad],
     }[place]
     with pytest.raises(expected.type) as got:
         FiniteMonoid(3, rows, {})

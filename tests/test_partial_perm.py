@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given
@@ -144,8 +145,14 @@ def test_points_must_be_integers(build, what):
 
 @pytest.mark.parametrize(
     "n, row",
-    [(3, (True, 0, 2)), (3, [3, False, True]), (3, b"\x02\x00\x01"), (300, (True,) + (0,) * 299)],
-    ids=["bools", "list", "bytes", "wide"],
+    [
+        (3, (True, 0, 2)),
+        (3, [3, False, True]),
+        (3, b"\x02\x00\x01"),
+        (3, array("i", [1, 0, 2])),
+        (300, (True,) + (0,) * 299),
+    ],
+    ids=["bools", "list", "bytes", "int-array", "wide"],
 )
 def test_a_row_holds_only_ints(n, row):
     # before, PartialPerm(3, (True, 0, 2)) kept True in its row
