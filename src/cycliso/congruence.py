@@ -70,7 +70,7 @@ import time
 from itertools import chain, repeat
 from operator import index
 
-from .monoid import cardinality_formula, closure_rows
+from .monoid import cardinality_formula, generates_exactly
 from .presentations import (
     aligned_images,
     build_Q,
@@ -514,7 +514,7 @@ def verify_defines(presentation, monoid, images=None, max_slots=None):
     if table.size == target:
         # Run after the enumeration so that its memory does not add to
         # the enumeration's peak.
-        if set(closure_rows(monoid.n, [a.row for a in images])) != set(monoid.rows):
+        if not generates_exactly(monoid, [a.row for a in images]):
             raise ValueError("the images do not generate the monoid")
         verdict = "defines"
     else:

@@ -6,10 +6,10 @@ Two routes, kept independent on purpose:
   image", R is "same domain", H is both, and J is "same dihedral orbit
   of the domain".  Every element is a restriction of one of the 2n
   symmetries, so a partial isometry carries one domain onto another
-  exactly when a symmetry does.  Each key is read off the element's
-  bytes row by C calls, with no Python frame per element: the domain
-  key is ``row.translate(_OFF_DOMAIN)``, the middle term of
-  ``canonical_bytes_key``, and the image key comes from
+  exactly when a symmetry does.  The keys are read by C calls, with no
+  Python frame per element: one ``translate`` of the monoid's buffer
+  through ``_OFF_DOMAIN`` gives every domain key (a key is the middle
+  term of ``canonical_bytes_key``), and each row's image key comes from
   ``bytes.maketrans``.  R and J rely on the order the monoid's
   constructor checked (rank, then domain, then images), which keeps the
   rows of each domain consecutive: an R class is a run of equal domain
@@ -27,7 +27,7 @@ from itertools import chain, groupby, repeat
 from operator import getitem, or_
 
 from .dihedral import mask_images
-from .monoid import product_table
+from .monoid import _row_slices, product_table
 from .partial_perm import _OFF_DOMAIN
 from .record import Record
 
@@ -64,8 +64,11 @@ def _group_by(keyed):
 
 
 def _domain_keys(m):
-    """Each row's domain key: byte i is 1 iff point i + 1 is off the domain."""
-    return map(bytes.translate, m.rows, repeat(_OFF_DOMAIN))
+    """Each row's domain key: byte i is 1 iff point i + 1 is off the domain.
+
+    One ``translate`` of the monoid's buffer gives every key at once.
+    """
+    return _row_slices(m.rows.buffer.translate(_OFF_DOMAIN), m.n)
 
 
 def _image_keys(m):

@@ -13,19 +13,31 @@ they can cross-check one another:
   distance test (the definition route; exponential, small n only).
 
 Each route emits dense rows in canonical order, and a ``FiniteMonoid``
-checks that order (it never sorts) and holds the rows once, as one tuple
-of ``bytes`` (so n <= 255); ``PartialPerm`` objects are only views built
-when an element is read.  A product a * b is one C call,
-``a.translate(_table(b))``: b's row with a leading 0, padded to 256 bytes.
+checks that order (it never sorts) and holds the rows once, as one
+``bytes`` buffer of |M| * n bytes (so n <= 255), read as the ``Rows``
+sequence of its n-byte slices; the constructor checks the stream in
+chunks of CHECK_CHUNK rows, in C, and keeps no object per element.
+``PartialPerm`` objects are only views built when an element is read.
+A product a * b is one C call, ``a.translate(_table(b))``: b's row with
+a leading 0, padded to 256 bytes.
 The element count has a closed form split by parity, ``cardinality_formula``.
 """
 
+import io
 from bisect import bisect_left
-from itertools import chain, combinations, pairwise, permutations, repeat, starmap
-from operator import lt
+from itertools import chain, combinations, compress, islice, permutations, repeat, starmap
+from operator import eq, getitem, itemgetter, lt, not_
+from struct import iter_unpack
 
 from .dihedral import DihedralElement, symmetry_rows
-from .partial_perm import PartialPerm, canonical_bytes_key, check_row, idempotent
+from .partial_perm import (
+    _OFF_DOMAIN,
+    PartialPerm,
+    _view,
+    canonical_bytes_key,
+    check_row,
+    idempotent,
+)
 from .record import Record
 
 __all__ = [
@@ -33,6 +45,7 @@ __all__ = [
     "product_table",
     "standard_generators",
     "closure_rows",
+    "generates_exactly",
     "monoid_closure",
     "restriction_layout",
     "restriction_rows",
@@ -71,53 +84,134 @@ def _table(row):
     return (b"\0" + bytes(row)).ljust(256, b"\0")
 
 
-def _rows_pass(n, rows):
-    """Whether every bytes row passes ``check_row(n, row)``, checked in C."""
-    if not all(map(n.__eq__, map(len, rows))):
-        return False
-    # bytes.maketrans(row, zeros) is the identity table with 0 at each
-    # value of the row, so its zeros at 0..n count 0 and the distinct
-    # images in 1..n.  A row with z zeros has at most n - z of those, and
-    # exactly that many when its images are distinct and at most n; so
-    # the totals agree only when every row passes.
-    marked = map(bytes.maketrans, rows, repeat(bytes(n)))
-    present = sum(map(bytes.count, marked, repeat(0), repeat(0), repeat(n + 1)))
-    absent = sum(map(bytes.count, rows, repeat(0)))
-    return present - len(rows) == n * len(rows) - absent
+CHECK_CHUNK = 4096  # rows the constructor checks with each batch of C calls
 
 
-def _checked_rows(n, rows):
-    """The rows as a tuple of bytes, each checked as ``check_row`` checks it.
+def _checked_chunk(n, chunk):
+    """(rows, joined): the chunk's rows as bytes, each checked as
+    ``check_row`` checks it, and the rows joined.
 
-    Only when a row will not convert, or fails the checks in C, are the
-    rows checked one by one, so that the first bad row raises just what
-    ``check_row`` raises for it.  ``check_row`` takes only integers, so
-    a row it passes converts and passes in C too.
+    Only when a row will not convert, or the chunk fails the checks in C,
+    are its rows checked one by one, so that the first bad row raises
+    just what ``check_row`` raises for it.  ``check_row`` takes only
+    integers, so a row it passes converts and passes in C too.
     """
-    rows = tuple(rows)
     try:
-        if not set(map(type, rows)) <= {bytes}:
+        if not set(map(type, chunk)) <= {bytes}:
             # tuple() first, since bytes(3) would be three zero bytes
-            rows = tuple(bytes(tuple(row)) for row in rows)
-        if _rows_pass(n, rows):
-            return rows
+            chunk = [bytes(tuple(row)) for row in chunk]
+        joined = b"".join(chunk)
+        # bytes.maketrans(row, zeros) raises ValueError unless row has n
+        # bytes, and is the identity table with 0 at each value of the
+        # row, so its zeros at 0..n count 0 and the distinct images in
+        # 1..n.  A row with z zeros has at most n - z of those, and
+        # exactly that many when its images are distinct and at most n;
+        # so the totals agree only when every row passes.
+        tables = map(bytes.maketrans, chunk, repeat(bytes(n)))
+        marked = b"".join(map(getitem, tables, repeat(slice(n + 1))))
+        if marked.count(0) - len(chunk) == len(joined) - joined.count(0):
+            return chunk, joined
     except (TypeError, ValueError):
         pass
-    for row in rows:
-        check_row(n, row)
+    chunk = [bytes(check_row(n, row)) for row in chunk]
+    return chunk, b"".join(chunk)
+
+
+def _in_order(rows):
+    """Whether the bytes rows strictly increase in canonical order, checked in C.
+
+    The order is ``canonical_bytes_key``'s: rank, then the domain mask,
+    then the row.  Rows with one mask must increase as bytes; where the
+    mask changes, the rank and mask (rank is the mask's count of 0) must
+    increase, which is compared once per run of equal masks.
+    """
+    masks = list(map(bytes.translate, rows, repeat(_OFF_DOMAIN)))
+    same = list(map(eq, masks, masks[1:]))
+    if not all(map(lt, compress(rows, same), compress(rows[1:], same))):
+        return False
+    starts = [masks[0], *compress(masks[1:], map(not_, same))]
+    keys = list(zip(map(bytes.count, starts, repeat(0)), starts))
+    return all(map(lt, keys, keys[1:]))
+
+
+def _row_buffer(n, rows):
+    """The rows, checked, as ``Rows`` over one buffer.
+
+    The stream is read CHECK_CHUNK rows at a time, and the last row of
+    each chunk is carried into the order check of the next.  An order
+    error is raised only once every row has passed ``_checked_chunk``,
+    so a bad row raises what ``check_row`` raises for it even when an
+    earlier chunk is out of order.  ``BytesIO`` grows its buffer in
+    place and hands it out without a copy, so the rows are held once.
+    """
+    stream = iter(rows)
+    out = io.BytesIO()
+    ordered = True
+    last = None
+    while chunk := list(islice(stream, CHECK_CHUNK)):
+        chunk, joined = _checked_chunk(n, chunk)
+        out.write(joined)
+        if ordered:
+            ordered = _in_order(chunk if last is None else [last, *chunk])
+            last = chunk[-1]
+    if not ordered:
+        raise ValueError("rows not in strictly increasing canonical order")
+    return Rows(out.getvalue(), n)
+
+
+def _row_slices(buffer, n):
+    """The n-byte rows of ``buffer``, as bytes, in order."""
+    return map(itemgetter(0), iter_unpack(f"{n}s", buffer))
+
+
+class Rows:
+    """The rows of a ``FiniteMonoid``: one bytes buffer of |M| * n bytes.
+
+    Row i is ``buffer[i * n:(i + 1) * n]``.  The rows read as a
+    read-only sequence of those slices: ``len``, ``rows[i]`` (negative
+    i counts from the end), iteration and ``index``, a binary search,
+    since the monoid's constructor checked the canonical order.
+    """
+
+    __slots__ = ("buffer", "n")
+
+    def __init__(self, buffer, n):
+        self.buffer = buffer
+        self.n = n
+
+    def __len__(self):
+        return len(self.buffer) // self.n
+
+    def __getitem__(self, i):
+        n = self.n
+        # the range checks i and counts a negative i from the end
+        start = range(0, len(self.buffer), n)[i]
+        return self.buffer[start:start + n]
+
+    def __iter__(self):
+        return _row_slices(self.buffer, self.n)
+
+    def index(self, row):
+        """The ordinal of the bytes ``row``; ValueError if it is not a row."""
+        if isinstance(row, bytes) and len(row) == self.n:
+            key = canonical_bytes_key(row)
+            i = bisect_left(self, key, key=canonical_bytes_key)
+            if i < len(self) and self[i] == row:
+                return i
+        raise ValueError(f"{row!r} is not a row")
 
 
 class FiniteMonoid:
     """A finite monoid of partial permutations, closed under composition.
 
-    The elements are held once, as ``rows``: a tuple of dense rows, each
-    n bytes, in canonical order (rank, then domain, then image row), in
-    which the rows must arrive, each once; the constructor checks this
-    and never sorts.  Rows may arrive as any sequences of ints and are
-    stored as bytes, so n is at most 255.  Indexing and iteration hand
-    out ``PartialPerm`` views built on access; membership is a binary
-    search.  An instance holds only ``n``, ``rows`` and ``generators``
-    and caches nothing.
+    The elements are held once, as ``rows``: a ``Rows`` sequence over
+    one buffer of dense rows, each n bytes, in canonical order (rank,
+    then domain, then image row), in which the rows must arrive, each
+    once; the constructor checks this and never sorts.  Rows may arrive
+    as any sequences of ints and are stored as bytes, so n is at most
+    255.  Indexing and iteration hand out ``PartialPerm`` views built
+    on access; membership is a binary search.  An instance holds only
+    ``n``, ``rows`` and ``generators`` and caches nothing.
 
     >>> FiniteMonoid(3, [(1, 2, 3), (1, 2, 0)], {})
     Traceback (most recent call last):
@@ -127,9 +221,7 @@ class FiniteMonoid:
     def __init__(self, n, rows, generators):
         _check_byte_n(n)
         self.n = n
-        self.rows = _checked_rows(n, rows)
-        if not all(starmap(lt, pairwise(map(canonical_bytes_key, self.rows)))):
-            raise ValueError("rows not in strictly increasing canonical order")
+        self.rows = _row_buffer(n, rows)
         if PartialPerm.identity(n) not in self:
             raise ValueError("identity map missing")
         self.generators = dict(generators)
@@ -141,11 +233,10 @@ class FiniteMonoid:
         return len(self.rows)
 
     def __iter__(self):
-        n = self.n
-        return (PartialPerm(n, row) for row in self.rows)
+        return map(_view, repeat(self.n), self.rows)
 
     def __getitem__(self, i):
-        return PartialPerm(self.n, self.rows[i])
+        return _view(self.n, self.rows[i])
 
     @property
     def elements(self):
@@ -154,9 +245,11 @@ class FiniteMonoid:
     def __contains__(self, a):
         if not isinstance(a, PartialPerm) or a.n != self.n:
             return False
-        row = bytes(a.row)
-        i = bisect_left(self.rows, canonical_bytes_key(row), key=canonical_bytes_key)
-        return i < len(self.rows) and self.rows[i] == row
+        try:
+            self.rows.index(bytes(a.row))
+        except ValueError:
+            return False
+        return True
 
 
 def product_table(m):
@@ -217,12 +310,8 @@ def standard_generators(n):
     }
 
 
-def closure_rows(n, gen_rows):
-    """Rows of the monoid the given rows generate, as bytes, in discovery order.
-
-    Breadth-first from the identity over right products by the
-    generators, each one ``translate`` through a generator's table.
-    """
+def _closure(n, gen_rows):
+    """(order, seen): ``closure_rows`` and the set of its rows."""
     _check_byte_n(n)
     tables = list(map(_table, gen_rows))
     ident = bytes(range(1, n + 1))
@@ -233,7 +322,28 @@ def closure_rows(n, gen_rows):
             if pr not in seen:
                 seen.add(pr)
                 order.append(pr)
-    return order
+    return order, seen
+
+
+def closure_rows(n, gen_rows):
+    """Rows of the monoid the given rows generate, as bytes, in discovery order.
+
+    Breadth-first from the identity over right products by the
+    generators, each one ``translate`` through a generator's table.
+    """
+    return _closure(n, gen_rows)[0]
+
+
+def generates_exactly(m, gen_rows):
+    """Whether the rows ``gen_rows`` generate exactly the monoid m.
+
+    The closure's own set is kept, and m's rows are streamed through it:
+    m's rows are distinct (the constructor checked a strict order), so
+    the sets are equal when the sizes are and every row of m is in the
+    closure.
+    """
+    seen = _closure(m.n, gen_rows)[1]
+    return len(seen) == len(m) and all(map(seen.__contains__, m.rows))
 
 
 def monoid_closure(n, gens):
@@ -455,7 +565,7 @@ def rank_search(m, exhaustive_pairs=False):
     n = m.n
     size = len(m)
     rows = m.rows
-    triple_ok = set(closure_rows(n, [a.row for a in m.generators.values()])) == set(rows)
+    triple_ok = generates_exactly(m, [a.row for a in m.generators.values()])
 
     if not exhaustive_pairs or n > PAIR_SEARCH_BOUND:
         return RankReport(n, size, triple_ok, None, None, (), ())

@@ -233,6 +233,18 @@ class PartialPerm:
         return f"PartialPerm({self.n}, {{{body}}})"
 
 
+def _view(n, row):
+    """A ``PartialPerm`` on a row already checked, with no ``check_row`` call.
+
+    Only for the rows a ``FiniteMonoid`` has checked; every other row
+    goes through the constructor.
+    """
+    a = object.__new__(PartialPerm)
+    a.n = n
+    a.row = tuple(row)
+    return a
+
+
 def idempotent(n, i):
     """The identity of {1..n} with the single point i removed.
 

@@ -110,10 +110,10 @@ def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
 
 
 def test_enumerate_checks_the_monoid_before_it_prints(monkeypatch, capsys):
-    def rejects(n, rows):
+    def rejects(n, chunk):
         raise ValueError("row rejected")
 
-    monkeypatch.setattr(cycliso.monoid, "_checked_rows", rejects)
+    monkeypatch.setattr(cycliso.monoid, "_checked_chunk", rejects)
     code, out, err = run(capsys, "enumerate", "--n", "5")
     assert code == 1 and out == ""
     assert err == "internal error: row rejected\n"
@@ -466,7 +466,8 @@ def test_running_out_of_memory_is_inconclusive(command):
 
 
 # the same child with 16 MB to grow by: each command below runs out while
-# it builds the monoid or imports a module, outside the HLT sweep
+# it builds the monoid, outside the HLT sweep; at n=16 the monoid's
+# buffer alone is 2,096,737 rows of 16 bytes, 33.5 MB
 TIGHT_OUT_OF_MEMORY_CHILD = OUT_OF_MEMORY_CHILD.replace("(24 << 20)", "(16 << 20)")
 
 
@@ -474,9 +475,9 @@ TIGHT_OUT_OF_MEMORY_CHILD = OUT_OF_MEMORY_CHILD.replace("(24 << 20)", "(16 << 20
 @pytest.mark.parametrize(
     "command",
     [
-        "enumerate --n 14 --out /dev/null",
-        "green --n 13 --relation J",
-        "present verify --n 14 --which R",
+        "enumerate --n 16 --out /dev/null",
+        "green --n 16 --relation J",
+        "present verify --n 16 --which R",
     ],
 )
 def test_running_out_of_memory_elsewhere_is_a_one_line_error(command):

@@ -29,9 +29,10 @@ from cycliso import (
     units,
 )
 import cycliso.monoid
+import cycliso.partial_perm
 from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement
-from cycliso.monoid import closure_rows, product_table
+from cycliso.monoid import closure_rows, generates_exactly, product_table, restriction_rows
 from cycliso.partial_perm import canonical_bytes_key, canonical_key, check_row
 
 # first few values of the closed formula, frozen from an independent
@@ -378,16 +379,154 @@ def test_rows_must_arrive_in_canonical_order(n):
 
 
 def test_constructor_holds_no_key_per_element():
-    # the rows arrive in canonical order, so the constructor checks the
-    # order with one key at a time instead of sorting by a list of keys
-    tracemalloc.start()
-    try:
-        m = build_by_restrictions(10)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(m) == KNOWN_SIZES[10]
-    assert peak < 1.25 * held
+    # the rows arrive in canonical order and are checked a chunk at a
+    # time, so beyond the buffer the constructor holds the chunk in
+    # flight and BytesIO's growth margin (up to an eighth of the buffer),
+    # and no key or row object per element
+    extra = {}
+    for n in (10, 12):
+        tracemalloc.start()
+        try:
+            m = build_by_restrictions(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m) == KNOWN_SIZES[n]
+        buffer = len(m.rows.buffer)
+        assert buffer == n * len(m)
+        extra[n] = peak - buffer * 9 / 8
+    # at n=12 the rows held as a tuple of bytes took 5.2 MB
+    assert peak < 3_000_000
+    # |M| grows by 77,754 rows from n=10 to n=12; one bytes object per
+    # row would add over 3 MB, and the extra grows by under a byte a row
+    assert extra[12] - extra[10] < KNOWN_SIZES[12] - KNOWN_SIZES[10]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_the_rows_are_the_layout_rows(n):
+    assert list(build_by_restrictions(n).rows) == list(restriction_rows(n))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_small_chunks_give_the_same_monoid(n, chunk, monkeypatch):
+    # with one row a chunk every consecutive pair is ordered across chunks
+    monkeypatch.setattr(cycliso.monoid, "CHECK_CHUNK", chunk)
+    for build in (build_by_restrictions, build_by_closure):
+        assert list(build(n).rows) == list(restriction_rows(n))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda n: bytes([1, 1] + [0] * (n - 2)),
+        lambda n: bytes([n + 1] + [0] * (n - 1)),
+        lambda n: bytes(n - 1),
+        lambda n: [2, 2] + [0] * (n - 2),
+        lambda n: (1.5,) + (0,) * (n - 1),
+    ],
+    ids=["repeated-image", "image-above-n", "short", "list-that-converts", "non-integer"],
+)
+@pytest.mark.parametrize("at", [4, 5, 9, 10])
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_bad_row_at_a_chunk_boundary_raises_what_check_row_raises(
+    n, at, bad, monkeypatch
+):
+    # chunks of 5 rows: row 4 ends the first chunk, row 5 starts the
+    # second, and rows 9 and 10 sit at the next boundary
+    monkeypatch.setattr(cycliso.monoid, "CHECK_CHUNK", 5)
+    bad = bad(n)
+    with pytest.raises(ValueError) as expected:
+        check_row(n, bad)
+    rows = list(restriction_rows(n))
+    rows[at] = bad
+    with pytest.raises(ValueError) as got:
+        FiniteMonoid(n, rows, {})
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("error", ["swap", "duplicate"])
+@pytest.mark.parametrize("at", [5, 10])
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_order_is_checked_across_chunk_boundaries(n, at, error, monkeypatch):
+    # rows at-1 and at lie in two chunks; each chunk is in order on its
+    # own.  At n=4, rows 4 and 5 have different domains ({1} and {2}),
+    # at n=5 the same domain {1}.
+    monkeypatch.setattr(cycliso.monoid, "CHECK_CHUNK", 5)
+    rows = list(restriction_rows(n))
+    if error == "swap":
+        rows[at - 1], rows[at] = rows[at], rows[at - 1]
+    else:
+        rows[at] = rows[at - 1]
+    with pytest.raises(ValueError, match="rows not in strictly increasing canonical order"):
+        FiniteMonoid(n, rows, {})
+
+
+def test_every_row_is_checked_after_an_order_error_in_an_earlier_chunk(monkeypatch):
+    monkeypatch.setattr(cycliso.monoid, "CHECK_CHUNK", 5)
+    rows = list(restriction_rows(4))
+    rows[1], rows[2] = rows[2], rows[1]
+    rows[12] = (0, 0, 5, 0)
+    with pytest.raises(ValueError, match="^image 5 outside 1..4$"):
+        FiniteMonoid(4, rows, {})
+
+
+def test_rows_read_as_a_sequence_of_slices():
+    m = build_by_restrictions(4)
+    rows = m.rows
+    buffer = rows.buffer
+    assert type(buffer) is bytes and len(rows) == len(m) == len(buffer) // 4
+    for i in (0, 1, 50, len(rows) - 1):
+        assert rows[i] == buffer[4 * i:4 * i + 4]
+        assert rows[i - len(rows)] == rows[i]
+        assert rows.index(rows[i]) == i
+    assert rows[0] == bytes(4) and rows[-1] == bytes([4, 3, 2, 1])
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert list(rows) == [buffer[i:i + 4] for i in range(0, len(buffer), 4)]
+    assert list(reversed(rows)) == list(rows)[::-1]
+    # a map that is not an isometry, a row of another length, a tuple
+    for row in (bytes([1, 0, 2, 0]), bytes(5), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            rows.index(row)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_views_are_the_checked_rows(n, monkeypatch):
+    m = build_by_restrictions(n)
+    views = list(m)
+    assert len(views) == len(m)
+    for i, row in enumerate(m.rows):
+        assert m[i] == PartialPerm(n, row) == views[i]
+        assert m[i].row == check_row(n, row)
+    assert m.elements == tuple(views)
+
+    # a view reads a checked row, so it builds no check_row call
+    def rejects(n, row):
+        raise AssertionError("a view re-checked its row")
+
+    monkeypatch.setattr(cycliso.partial_perm, "check_row", rejects)
+    assert list(m) == views and m[-1] == views[-1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_generates_exactly_is_the_set_comparison(n):
+    m = build_by_restrictions(n)
+    gens = standard_generators(n)
+    cases = [
+        [a.row for a in gens.values()],
+        [gens["g"].row, gens["h"].row],
+        [gens["g"].row, gens["e_n"].row],
+        [a.row for a in m],
+    ]
+    for gen_rows in cases:
+        want = set(closure_rows(n, gen_rows)) == set(m.rows)
+        assert generates_exactly(m, gen_rows) is want
+    assert generates_exactly(m, cases[0]) and not generates_exactly(m, cases[1])
+    # g and h generate the units; with e_n the closure is larger than them
+    assert generates_exactly(units(m), cases[1])
+    assert not generates_exactly(units(m), cases[0])
 
 
 @pytest.mark.parametrize("method", sorted(BUILDERS))
