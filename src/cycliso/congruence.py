@@ -39,15 +39,22 @@ variable, a letter an integer literal, and the slot's own row is read
 once.  Only a merge kills a slot, so a node set by a step after the
 last check is still live and is used without a ``find``; so is the
 swept slot, since the sweep leaves it as soon as a check merges it
-away.  A merged slot's row is None, and so is the last entry of
-``rows``, which a missing edge (-1) reads: fetching a node's row is
-then the test for both a missing edge and a dead target, the rare
-cases, which go to a helper that defines or finds.  A step that comes
-just before the check of its relation glues instead: a missing edge
-there would be a new slot with a blank row that the check merges into
-the relation's other end at once, so the step takes that slot's id and
-counts that merge but stores no row, and points the edge straight at
-the other end (``glue``).  Any later read of that edge finds the same
+away.  Most checks merge nothing, so a check's merge branch refreshes
+the nodes and rows that the ops up to the next check read, and these
+stay known live on either path; no slot dies between the refresh and
+the read, so it finds the same classes.  A merged slot's row is None,
+and so is the last entry of ``rows``, which a missing edge (-1) reads:
+fetching a node's row is then the test for both a missing edge and a
+dead target, the rare cases, which go to a helper (``fix``) that
+defines the slot or follows the edge to its class, halving the path on
+the way.  A new slot's row takes the place of that last None, and a
+new None is appended.  The table and the helpers are locals of each
+compiled function, bound as default arguments when it is defined.  A
+step that comes just before the check of its relation glues instead: a
+missing edge there would be a new slot with a blank row that the check
+merges into the relation's other end at once, so the step takes that
+slot's id and counts that merge but stores no row, and points the edge
+straight at the other end (``glue``).  A later read of that edge finds the same
 class either way, so no count moves.  The ops are cut into functions of
 at least ``CHUNK_OPS`` ops, each ending at a check, because the compiler's
 transient memory grows with the size of one function: a single function
@@ -67,7 +74,7 @@ of the presented one, so equality of (finite) sizes pins them equal.
 
 import gc
 import time
-from itertools import chain, repeat
+from itertools import chain, compress, islice, repeat
 from operator import index
 
 from .monoid import cardinality_formula, generates_exactly
@@ -179,25 +186,39 @@ def sweep_source(ops, width):
 
     Each chunk is the text of a function ``chunk(s, rs)`` of the live slot
     s and its row; it returns True if s merged away, and the last chunk
-    ends by defining every missing edge of s.  Trie node k is the local
-    ``nk``, and its row is ``rk`` while it is known to be live.  A node
-    that a later chunk reads goes through ``at[k]``.  A step that ends a
-    relation glues a missing edge to the relation's other end.
+    ends by defining every missing edge of s.  The table and the helpers
+    are default arguments, so that the function reads them as locals.
+    Trie node k is the local ``nk``, and its row is ``rk`` while it is
+    known to be live.  A node that a later chunk reads goes through
+    ``at[k]``.  A step that ends a relation glues a missing edge to the
+    relation's other end.  A check's merge branch refreshes what the ops
+    up to the next check read.
 
-    >>> print(sweep_source([(1, 0, 0), (2, 1, 0), (3, 2, 0), (-1, 3, 0)], 1)[0])
-    def chunk(s, rs):
+    >>> ops = sweep_ops([((0, 1), (1,)), ((0, 0), (0, 1))])[0]
+    >>> print(sweep_source(ops, 2)[0])
+    def chunk(
+        s, rs, rows=rows, parent=parent, at=at, find=find, fix=fix, glue=glue, merge=merge
+    ):
         n1 = rs[0]
         r1 = rows[n1]
         if r1 is None: n1 = fix(rs, 0); r1 = rows[n1]
-        n2 = r1[0]
-        r2 = rows[n2]
-        if r2 is None: n2 = fix(r1, 0); r2 = rows[n2]
-        n3 = r2[0]
-        if rows[n3] is None: n3 = glue(r2, 0, s)
-        if n3 != s:
-            merge(n3, s)
+        n2 = r1[1]
+        if rows[n2] is None: n2 = fix(r1, 1)
+        n3 = rs[1]
+        if rows[n3] is None: n3 = glue(rs, 1, n2)
+        if n2 != n3:
+            merge(n2, n3)
+            if parent[s] != s: return True
+            r1 = rows[n1]
+            if r1 is None: n1 = find(n1); r1 = rows[n1]
+            if parent[n2] != n2: n2 = find(n2)
+        n4 = r1[0]
+        if rows[n4] is None: n4 = glue(r1, 0, n2)
+        if n4 != n2:
+            merge(n4, n2)
             if parent[s] != s: return True
         if rs[0] == -1: fix(rs, 0)
+        if rs[1] == -1: fix(rs, 1)
     """
     chunks = [[]]
     for op in ops:
@@ -215,16 +236,30 @@ def sweep_source(ops, width):
 
     sources = []
     for i, chunk in enumerate(chunks):
-        lines = ["def chunk(s, rs):"]
+        lines = [
+            "def chunk(",
+            "    s, rs, rows=rows, parent=parent, at=at,"
+            " find=find, fix=fix, glue=glue, merge=merge",
+            "):",
+        ]
         lines += [f"    n{k:d} = at[{k:d}]" for k in sorted(needs[i])]
         live = set()  # nodes set since the last check: only a merge kills
         rowed = set()  # live nodes whose row is in rk
+
+        def refresh(k, pad, with_row):  # lines that make nk live, and rk its row
+            if with_row:  # the row of a merged slot is None
+                lines.append(f"{pad}r{k:d} = rows[n{k:d}]")
+                lines.append(
+                    f"{pad}if r{k:d} is None: n{k:d} = find(n{k:d}); r{k:d} = rows[n{k:d}]"
+                )
+            else:
+                lines.append(f"{pad}if parent[n{k:d}] != n{k:d}: n{k:d} = find(n{k:d})")
 
         def slot(k):
             if k == 0:
                 return "s"
             if k not in live:
-                lines.append(f"    if parent[n{k:d}] != n{k:d}: n{k:d} = find(n{k:d})")
+                refresh(k, "    ", False)
                 live.add(k)
             return f"n{k:d}"
 
@@ -232,11 +267,10 @@ def sweep_source(ops, width):
             if k == 0:
                 return "rs"
             if k not in rowed:
-                lines.append(f"    r{k:d} = rows[n{k:d}]")
-                if k not in live:  # the row of a merged slot is None
-                    lines.append(
-                        f"    if r{k:d} is None: n{k:d} = find(n{k:d}); r{k:d} = rows[n{k:d}]"
-                    )
+                if k in live:
+                    lines.append(f"    r{k:d} = rows[n{k:d}]")
+                else:
+                    refresh(k, "    ", True)
                     live.add(k)
                 rowed.add(k)
             return f"r{k:d}"
@@ -248,8 +282,18 @@ def sweep_source(ops, width):
                     lines.append(f"    if {x} != {y}:")
                     lines.append(f"        merge({x}, {y})")
                     lines.append("        if parent[s] != s: return True")
-                    live.clear()
-                    rowed.clear()
+                    # What the ops up to the next check read, the merge
+                    # branch refreshes, so it stays known live on both paths.
+                    read_rows, read_slots = set(), set()
+                    for op in islice(chunk, j + 1, None):
+                        if op[0] < 0:
+                            read_slots.update(op[1:])
+                            break
+                        read_rows.add(op[1])
+                    rowed &= read_rows
+                    live &= read_rows | read_slots
+                    for k in sorted(live):
+                        refresh(k, "        ", k in rowed)
                 continue
             # step; a missing edge reads -1, and rows[-1] is None as the
             # row of a merged slot is, so one test sends both to fix
@@ -323,21 +367,34 @@ def enumerate_quotient(presentation, max_slots=None):
 
     def fix(row, a):  # the edge by a, to a live slot, defined if missing
         t = row[a]
-        if t != -1:
-            t = row[a] = find(t)
-            return t
+        if t != -1:  # a merged slot: halve its path to the root
+            while True:
+                p = parent[t]
+                if p == t:
+                    row[a] = t
+                    return t
+                parent[t] = p = parent[p]
+                t = p
         t = len(parent)
         if t >= max_slots:
             raise over_budget(t)
         parent.append(t)
-        rows.insert(-1, [-1] * width)  # before the last None
+        rows[t] = [-1] * width  # in place of the last None, which moves up
+        rows.append(None)
         row[a] = t
         return t
 
     def glue(row, a, x):  # fix, but a new slot is merged at once into live x
         nonlocal merges, peak_live
-        if row[a] != -1:
-            return fix(row, a)
+        t = row[a]
+        if t != -1:  # as in fix
+            while True:
+                p = parent[t]
+                if p == t:
+                    row[a] = t
+                    return t
+                parent[t] = p = parent[p]
+                t = p
         t = len(parent)
         if t >= max_slots:
             raise over_budget(t)
@@ -366,14 +423,14 @@ def enumerate_quotient(presentation, max_slots=None):
             rows[y] = None  # a merged slot is never read again
             if moved != blank:
                 row = rows[x]
-                for k in range(width):
-                    t = moved[k]
+                for k, t in enumerate(moved):
                     if t != -1:
                         u = row[k]
                         if u == -1:
                             row[k] = t
                         elif u != t:
-                            pending += (u, t)
+                            pending.append(u)
+                            pending.append(t)
             while pending:
                 y = pending.pop()
                 if parent[y] != y:
@@ -402,19 +459,22 @@ def enumerate_quotient(presentation, max_slots=None):
     gc.disable()
     try:
         # rows grows while it is swept, and a list iterator reads each
-        # position as it reaches it, so every slot defined is swept
-        for s, rs in enumerate(rows):
-            if rs is not None:
-                for chunk in chunks:
-                    if chunk(s, rs):
-                        # s was absorbed by a smaller slot, which was
-                        # already swept in full while live; nothing left
-                        # to do here.
-                        break
-        # The live rows are the rows that are not None, in id order.  A
-        # slot's parent is never larger than the slot, so one pass in id
-        # order turns parent into every slot's class number.
-        assert -1 not in chain.from_iterable(filter(None, rows)), (
+        # position as it reaches it, so every slot defined is swept; the
+        # rows of merged slots, None, are skipped in C
+        for s, rs in compress(enumerate(rows), rows):
+            for chunk in chunks:
+                if chunk(s, rs):
+                    # s was absorbed by a smaller slot, which was already
+                    # swept in full while live; nothing left to do here.
+                    break
+        s = len(parent)  # swept to the end, for the report if memory runs out
+        # The live rows are the rows that are not None, in id order; rows
+        # lets go of the rest before the numbering allocates.  A slot's
+        # parent is never larger than the slot, so one pass in id order
+        # turns parent into every slot's class number.
+        live_rows = list(filter(None, rows))
+        rows.clear()
+        assert -1 not in chain.from_iterable(live_rows), (
             "live slot with an undefined edge after closure"
         )
         size = 0
@@ -426,7 +486,7 @@ def enumerate_quotient(presentation, max_slots=None):
                 parent[i] = parent[p]
         edges = tuple(
             chain.from_iterable(
-                map(map, repeat(parent.__getitem__), filter(None, rows))
+                map(map, repeat(parent.__getitem__), live_rows)
             )
         )
     except MemoryError:
@@ -547,21 +607,20 @@ class BridgeReport(Record):
         )
 
 
-def check_tietze_bridge(n, r_table=None, q_table=None, max_slots=None):
+def check_tietze_bridge(n, max_slots=None):
     """Check each family's relations are consequences of the other's.
 
     The wide letters are rewritten by e_i -> h g^(i-1) e h g^(i-1) and
     tested in the 3-letter quotient; the 3-letter relations are
     rewritten by e -> e_n and tested in the wide quotient.  Together
     with the satisfaction checks this exhibits the two presentations as
-    defining the same monoid.
+    defining the same monoid.  Both quotients are enumerated here, so
+    the verdict rests on no table from outside.
     """
     pres_r = build_R(n)
     pres_q = build_Q(n)
-    if r_table is None:
-        r_table = enumerate_quotient(pres_r, max_slots)
-    if q_table is None:
-        q_table = enumerate_quotient(pres_q, max_slots)
+    r_table = enumerate_quotient(pres_r, max_slots)
+    q_table = enumerate_quotient(pres_q, max_slots)
 
     into_q = r_to_q_substitution(n)
     r_to_q = tuple(

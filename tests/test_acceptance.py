@@ -219,9 +219,7 @@ def test_c12_absorption_identities_and_tietze_bridge(tables):
                 assert check_consequence(table, lhs, rhs), (n, name, label)
                 assert evaluate(lhs, images) == evaluate(rhs, images), (n, name, label)
     for n in range(3, 7):
-        bridge = check_tietze_bridge(
-            n, r_table=tables("R", n), q_table=tables("Q", n)
-        )
+        bridge = check_tietze_bridge(n)
         assert bridge.ok, (n, bridge)
     report(
         "c12 the absorption identities are consequences of the wide "
