@@ -28,8 +28,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice, starmap, zip_longest
-from operator import eq, itemgetter
+from itertools import starmap, zip_longest
+from operator import eq
 
 import cycliso
 from .dihedral import symmetry_rows
@@ -57,7 +57,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-ENUMERATE_BATCH = 4096  # lines per write in `enumerate`
+# lines per write in `enumerate`, at least: a write ends at the end of a
+# domain, which has at most 2n lines, so it holds fewer than
+# ENUMERATE_BATCH + 2n lines (the last write may hold fewer)
+ENUMERATE_BATCH = 4096
 
 BUILDERS = {
     "restrictions": build_by_restrictions,
@@ -125,20 +128,27 @@ def _emit(obj, out):
 def _layout_lines(n):
     """The lines of ``build_by_restrictions(n)``, from its layout.
 
-    Every ``enumerate`` prints through here, whichever route built and
-    checked the monoid.
+    Yields ``(count, text)`` per domain, in canonical order: ``text``
+    holds the domain's ``count`` lines.  Every ``enumerate`` prints
+    through here, whichever route built and checked the monoid.
+
+    Each (d0, d1) order of the layout is read once into label columns:
+    ``cols[x][j]`` is the label of the image of point x under the
+    order's j-th symmetry.  A domain's image lists are then the columns
+    of its points zipped together, and its lines one join of them, so
+    no Python frame runs per element.
     """
-    # label[0] is "", so images[k][x] is the label of symmetry k's image
-    # of point x, and images[k][0] is a "" that every gather ends with:
-    # one index alone would give a bare "12", joined as "1,2" (the empty
-    # domain gathers the bare "", which joins to "" as well)
     label = ("",) + tuple(map(str, range(1, n + 1)))
     images = [tuple(map(label.__getitem__, row)) for row in symmetry_rows(n)]
+    columns = {}  # this call's label columns, per order
     for dom, ks in restriction_layout(n):
+        cols = columns.get(ks)
+        if cols is None:
+            cols = columns[ks] = tuple(zip(*map(images.__getitem__, ks)))
         prefix = '{"n":%d,"dom":[%s],"img":[' % (n, ",".join(map(label.__getitem__, dom)))
-        gather = itemgetter(*dom, 0)
-        for k in ks:
-            yield prefix + ",".join(gather(images[k])[:-1]) + "]}\n"
+        imgs = map(",".join, zip(*map(cols.__getitem__, dom)))
+        # the empty domain zips no column, so its one line joins nothing
+        yield len(ks), prefix + ("]}\n" + prefix).join(imgs) + "]}\n"
 
 
 def cmd_enumerate(args):
@@ -154,11 +164,18 @@ def cmd_enumerate(args):
         raise ValueError(f"the {args.method} rows differ from the restriction layout")
     del rows  # checked; the lines come from the layout alone
     # each line has the bytes of json.dumps(a.to_json(), separators=(",", ":"))
-    lines = _layout_lines(args.n)
     with _output(args.out) as fh:
-        # in batches: neither the whole text nor one write per line
-        for batch in iter(lambda: "".join(islice(lines, ENUMERATE_BATCH)), ""):
-            fh.write(batch)
+        # whole domains per write, until a write holds ENUMERATE_BATCH lines:
+        # neither the whole text nor one write per domain
+        batch, held = [], 0
+        for count, text in _layout_lines(args.n):
+            batch.append(text)
+            held += count
+            if held >= ENUMERATE_BATCH:
+                fh.write("".join(batch))
+                batch, held = [], 0
+        if batch:
+            fh.write("".join(batch))
     return EXIT_OK
 
 
@@ -183,16 +200,17 @@ def cmd_count(args):
 
 
 def cmd_green(args):
-    from .cycle import CycleMetric
     from .green import ORACLE_SIZE_BOUND, green_J, green_LRH, green_oracle
 
     size = cardinality_formula(args.n)
     if args.verify_oracle and size > ORACLE_SIZE_BOUND:
         raise UsageError(f"|M| = {size} above oracle size bound {ORACLE_SIZE_BOUND}")
     monoid = build_by_restrictions(args.n)
-    metric = CycleMetric(args.n)
     if args.relation == "J":
-        classes = green_J(monoid, metric)
+        # only J reads the cycle metric, so only J imports cycle.py
+        from .cycle import CycleMetric
+
+        classes = green_J(monoid, CycleMetric(args.n))
     else:
         classes = green_LRH(monoid, args.relation)
     verified = None

@@ -26,7 +26,7 @@ The element count has a closed form split by parity, ``cardinality_formula``.
 import io
 from bisect import bisect_left
 from itertools import chain, combinations, compress, islice, permutations, repeat, starmap
-from operator import eq, getitem, itemgetter, lt, not_
+from operator import eq, getitem, index, itemgetter, lt, not_
 from struct import iter_unpack
 
 from .dihedral import DihedralElement, symmetry_rows
@@ -184,8 +184,9 @@ class Rows:
 
     def __getitem__(self, i):
         n = self.n
-        # the range checks i and counts a negative i from the end
-        start = range(0, len(self.buffer), n)[i]
+        # the range checks i and counts a negative i from the end; index
+        # refuses a slice, which the range would take
+        start = range(0, len(self.buffer), n)[index(i)]
         return self.buffer[start:start + n]
 
     def __iter__(self):

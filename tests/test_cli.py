@@ -97,8 +97,11 @@ def test_enumerate_methods_agree(capsys):
     "n, method",
     [(n, method) for n in [3, 4, 5, 6] for method in ["restrictions", "closure", "bruteforce"]]
     # two-digit labels: rank-1 domains on points >= 10, and at n=10 the
-    # antipodal pairs, each line gathered from one symmetry's labels
-    + [(10, "restrictions"), (11, "restrictions"), (10, "closure"), (11, "closure")],
+    # antipodal pairs, each line read from its order's label columns
+    + [(10, "restrictions"), (11, "restrictions"), (10, "closure"), (11, "closure")]
+    # an even n with two-digit labels: domains whose d1 is not their
+    # second point, as antipodal pairs off the first point give
+    + [(12, "restrictions")],
 )
 def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
     code, out, _ = run(capsys, "enumerate", "--n", str(n), "--method", method)
@@ -144,21 +147,27 @@ def test_enumerate_prints_nothing_from_a_route_that_differs_from_the_layout(
 
 
 def test_enumerate_writes_in_batches(monkeypatch):
-    writes = []
-
     class Sink:
         def write(self, text):
             writes.append(text)
 
-    monkeypatch.setattr(cli, "ENUMERATE_BATCH", 10)
-    monkeypatch.setattr(sys, "stdout", Sink())
-    assert main(["enumerate", "--n", "4"]) == 0
     m = build_by_restrictions(4)
-    assert "".join(writes) == "".join(
-        json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m
-    )
-    # 97 lines: nine full batches and one of 7
-    assert [w.count("\n") for w in writes] == [10] * 9 + [7]
+    expected = "".join(json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    for batch in (1, 10):
+        writes = []
+        monkeypatch.setattr(cli, "ENUMERATE_BATCH", batch)
+        assert main(["enumerate", "--n", "4"]) == 0
+        assert "".join(writes) == expected
+        # whole domains per write: each write ends where a domain ends, and
+        # all but the last stop at the first domain that brings them to
+        # `batch` lines, so they hold fewer than batch + 2n
+        doms = [[json.loads(line)["dom"] for line in w.splitlines()] for w in writes]
+        for w, later in zip(doms, doms[1:]):
+            assert w[-1] != later[0]
+            assert batch <= len(w) < batch + 2 * 4
+            assert w.index(w[-1]) < batch
+        assert 0 < len(doms[-1]) < batch + 2 * 4
 
 
 def test_enumerate_bruteforce_bound_is_usage_error(monkeypatch, capsys):
@@ -399,22 +408,34 @@ UNUSED_BY_SHORT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize(
-    "args", [["-c", "import cycliso.cli"], ["-m", "cycliso", "count", "--n", "3"]]
-)
-def test_short_commands_leave_the_other_layers_unloaded(args):
+def imported_by(*args):
+    """The modules a fresh ``python *args`` imports; it must exit 0."""
     # -X importtime writes one stderr line per module the process imports
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
     )
     assert proc.returncode == 0
-    imported = {
+    return {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+@pytest.mark.parametrize(
+    "args", [["-c", "import cycliso.cli"], ["-m", "cycliso", "count", "--n", "3"]]
+)
+def test_short_commands_leave_the_other_layers_unloaded(args):
+    imported = imported_by(*args)
     assert {"cycliso", "cycliso.cli", "cycliso.monoid"} <= imported
     assert imported.isdisjoint(UNUSED_BY_SHORT_COMMANDS)
+
+
+@pytest.mark.parametrize("relation, loads_cycle", [("R", False), ("J", True)])
+def test_green_imports_the_cycle_metric_only_for_J(relation, loads_cycle):
+    imported = imported_by("-m", "cycliso", "green", "--n", "3", "--relation", relation)
+    assert "cycliso.green" in imported
+    assert ("cycliso.cycle" in imported) is loads_cycle
 
 
 def test_an_exhausted_budget_in_a_fresh_process_is_inconclusive():

@@ -484,6 +484,11 @@ def test_rows_read_as_a_sequence_of_slices():
     for i in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
             rows[i]
+    # one row at a time: a slice or a float is refused as no integer
+    for i in (slice(0, 2), 1.0):
+        for seq in (rows, m):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                seq[i]
     assert list(rows) == [buffer[i:i + 4] for i in range(0, len(buffer), 4)]
     assert list(reversed(rows)) == list(rows)[::-1]
     # a map that is not an isometry, a row of another length, a tuple
