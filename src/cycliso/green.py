@@ -13,8 +13,8 @@ Two routes, kept independent on purpose:
   ``bytes.maketrans``.  R and J rely on the order the monoid's
   constructor checked (rank, then domain, then images), which keeps the
   rows of each domain consecutive: an R class is a run of equal domain
-  keys, and a J class joins the runs whose domains share a dihedral
-  orbit, looked up once per run.
+  keys, found in C by the constructor's run finder, and a J class joins
+  the runs whose domains share a dihedral orbit, looked up once per run.
 - ``green_oracle`` uses only the definitions, computing principal ideals
   M a, a M and M a M from the full multiplication table.
 
@@ -23,11 +23,11 @@ The two must produce identical partitions; tests enforce that.
 
 from collections import Counter
 from functools import reduce
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import getitem, or_
 
 from .dihedral import mask_images
-from .monoid import _row_slices, product_table
+from .monoid import _key_runs, _row_slices, product_table
 from .partial_perm import _OFF_DOMAIN
 from .record import Record
 
@@ -87,13 +87,15 @@ def _domain_runs(m):
 
     The monoid's constructor checked that its rows are in canonical
     order, by rank, then domain, then images, so the rows of one domain
-    are consecutive and each domain is one run of equal keys.
+    are consecutive and each domain is one run of equal keys, found in C
+    with no object per row.
     """
+    n = m.n
     runs = []
-    start = 0
-    for key, rows in groupby(_domain_keys(m)):
-        stop = start + len(list(rows))
-        runs.append((key, range(start, stop)))
+    start = 0  # shared with the range before, so a run adds one int
+    for run in _key_runs(n, m.rows.buffer.translate(_OFF_DOMAIN)):
+        stop = run.end() // n
+        runs.append((run[1], range(start, stop)))
         start = stop
     return runs
 

@@ -16,7 +16,10 @@ Each route emits dense rows in canonical order, and a ``FiniteMonoid``
 checks that order (it never sorts) and holds the rows once, as one
 ``bytes`` buffer of |M| * n bytes (so n <= 255), read as the ``Rows``
 sequence of its n-byte slices; the constructor checks the stream in
-chunks of CHECK_CHUNK rows, in C, and keeps no object per element.
+chunks of CHECK_CHUNK rows, in C, and keeps no object per element.  A
+chunk of valid rows takes O(n) C calls: its injectivity is read from the
+columns of the joined rows, and its order from the runs of equal domain
+keys.
 ``PartialPerm`` objects are only views built when an element is read.
 A product a * b is one C call, ``a.translate(_table(b))``: b's row with
 a leading 0, padded to 256 bytes.
@@ -24,9 +27,11 @@ The element count has a closed form split by parity, ``cardinality_formula``.
 """
 
 import io
+import re
 from bisect import bisect_left
+from functools import reduce
 from itertools import chain, combinations, compress, islice, permutations, repeat, starmap
-from operator import eq, getitem, index, itemgetter, lt, not_
+from operator import index, itemgetter, lt, methodcaller, or_
 from struct import iter_unpack
 
 from .dihedral import DihedralElement, symmetry_rows
@@ -86,6 +91,29 @@ def _table(row):
 
 CHECK_CHUNK = 4096  # rows the constructor checks with each batch of C calls
 
+_BITS = bytes(1 << b for b in range(8))
+
+
+def _distinct_images(n, joined):
+    """The number of distinct images in 1..n of each n-byte row of
+    ``joined``, summed over the rows, in O(n) C calls.
+
+    Column i of the rows is ``joined[i::n]``.  Images are taken 8 at a
+    time: a plane's table maps each of its images to one bit of a byte,
+    and every other byte (0, the images of other planes, those above n)
+    to 0.  Each column read through it is one int, and the OR of the n
+    columns holds, in row r's byte, one bit per distinct image of the
+    plane in row r.
+    """
+    columns = [joined[i::n] for i in range(n)]
+    total = 0
+    for low in range(0, n, 8):
+        high = min(low + 8, n)
+        plane = bytes(low + 1) + _BITS[:high - low] + bytes(255 - high)
+        marks = map(int.from_bytes, map(bytes.translate, columns, repeat(plane)))
+        total += reduce(or_, marks).bit_count()
+    return total
+
 
 def _checked_chunk(n, chunk):
     """(rows, joined): the chunk's rows as bytes, each checked as
@@ -101,15 +129,13 @@ def _checked_chunk(n, chunk):
             # tuple() first, since bytes(3) would be three zero bytes
             chunk = [bytes(tuple(row)) for row in chunk]
         joined = b"".join(chunk)
-        # bytes.maketrans(row, zeros) raises ValueError unless row has n
-        # bytes, and is the identity table with 0 at each value of the
-        # row, so its zeros at 0..n count 0 and the distinct images in
-        # 1..n.  A row with z zeros has at most n - z of those, and
-        # exactly that many when its images are distinct and at most n;
-        # so the totals agree only when every row passes.
-        tables = map(bytes.maketrans, chunk, repeat(bytes(n)))
-        marked = b"".join(map(getitem, tables, repeat(slice(n + 1))))
-        if marked.count(0) - len(chunk) == len(joined) - joined.count(0):
+        # rows of unequal length can join to whole rows, so each length
+        # is checked.  A row has at most as many distinct images in 1..n
+        # as nonzero slots, and exactly as many only when its images are
+        # distinct and at most n; so the totals agree only when every
+        # row passes.
+        whole_rows = set(map(len, chunk)) == {n}
+        if whole_rows and _distinct_images(n, joined) == len(joined) - joined.count(0):
             return chunk, joined
     except (TypeError, ValueError):
         pass
@@ -117,21 +143,33 @@ def _checked_chunk(n, chunk):
     return chunk, b"".join(chunk)
 
 
-def _in_order(rows):
+def _key_runs(n, keys):
+    """The runs of equal n-byte keys in the bytes ``keys``, found in C.
+
+    One ``re.Match`` per run, in order: group 1 is the run's key, and
+    ``start()`` and ``end()`` bound its bytes, so the run holds keys
+    ``start() // n`` to ``end() // n - 1``.
+    """
+    return re.finditer(rb"(.{%d})\1*" % n, keys, re.S)
+
+
+def _in_order(n, rows):
     """Whether the bytes rows strictly increase in canonical order, checked in C.
 
-    The order is ``canonical_bytes_key``'s: rank, then the domain mask,
-    then the row.  Rows with one mask must increase as bytes; where the
-    mask changes, the rank and mask (rank is the mask's count of 0) must
-    increase, which is compared once per run of equal masks.
+    The order is ``canonical_bytes_key``'s: rank, then the domain key,
+    then the row.  The keys of all rows are one ``translate`` of the
+    joined rows, and their runs are found in C.  Rows inside a run must
+    increase as bytes; from run to run the rank and key (rank is the
+    key's count of 0) must increase, which is compared once per run.
     """
-    masks = list(map(bytes.translate, rows, repeat(_OFF_DOMAIN)))
-    same = list(map(eq, masks, masks[1:]))
+    runs = list(_key_runs(n, b"".join(rows).translate(_OFF_DOMAIN)))
+    # same[j] is 1 when rows j and j + 1 lie in one run
+    same = b"\0".join(b"\1" * ((run.end() - run.start()) // n - 1) for run in runs)
     if not all(map(lt, compress(rows, same), compress(rows[1:], same))):
         return False
-    starts = [masks[0], *compress(masks[1:], map(not_, same))]
-    keys = list(zip(map(bytes.count, starts, repeat(0)), starts))
-    return all(map(lt, keys, keys[1:]))
+    keys = [run[1] for run in runs]
+    ranked = list(zip(map(bytes.count, keys, repeat(0)), keys))
+    return all(map(lt, ranked, ranked[1:]))
 
 
 def _row_buffer(n, rows):
@@ -152,7 +190,7 @@ def _row_buffer(n, rows):
         chunk, joined = _checked_chunk(n, chunk)
         out.write(joined)
         if ordered:
-            ordered = _in_order(chunk if last is None else [last, *chunk])
+            ordered = _in_order(n, chunk if last is None else [last, *chunk])
             last = chunk[-1]
     if not ordered:
         raise ValueError("rows not in strictly increasing canonical order")
@@ -445,12 +483,24 @@ def build_by_restrictions(n):
     return FiniteMonoid(n, restriction_rows(n), standard_generators(n))
 
 
+def _sorted_canonically(rows):
+    """The bytes rows sorted by ``canonical_bytes_key``, by three stable
+    sorts whose keys are C calls: by row, then by domain key, then by
+    rank (as the count of 0, descending).  Each sort keeps the order of
+    the one before among its ties.
+    """
+    rows = sorted(rows)
+    rows.sort(key=methodcaller("translate", _OFF_DOMAIN))
+    rows.sort(key=methodcaller("count", 0), reverse=True)
+    return rows
+
+
 def build_by_closure(n):
     """Closure of {g, h, e_n}, sorted: breadth-first order is not canonical."""
     _check_n(n)
     gens = standard_generators(n)
     rows = closure_rows(n, [a.row for a in gens.values()])
-    return FiniteMonoid(n, sorted(rows, key=canonical_bytes_key), gens)
+    return FiniteMonoid(n, _sorted_canonically(rows), gens)
 
 
 def build_by_bruteforce(n):

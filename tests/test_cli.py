@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 
 import pytest
 
@@ -107,9 +108,12 @@ def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
     code, out, _ = run(capsys, "enumerate", "--n", str(n), "--method", method)
     assert code == 0
     m = BUILDERS[method](n)
-    assert out == "".join(
-        json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m
-    )
+    want = [json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m]
+    # the line lists are equal iff the texts are; a failure names the
+    # first differing line, with no diff of the whole text
+    got = out.splitlines(keepends=True)
+    first = next((i for i, pair in enumerate(zip_longest(got, want)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first}: {got[first:first + 1]} != {want[first:first + 1]}"
 
 
 def test_enumerate_checks_the_monoid_before_it_prints(monkeypatch, capsys):

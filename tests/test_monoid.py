@@ -4,9 +4,11 @@ import tracemalloc
 import weakref
 from array import array
 from itertools import combinations, permutations
-from operator import mul
+from operator import lt, mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cycliso import (
     CycleMetric,
@@ -31,8 +33,16 @@ from cycliso import (
 import cycliso.monoid
 import cycliso.partial_perm
 from cycliso.cli import BUILDERS
-from cycliso.dihedral import DihedralElement
-from cycliso.monoid import closure_rows, generates_exactly, product_table, restriction_rows
+from cycliso.dihedral import DihedralElement, symmetry_rows
+from cycliso.monoid import (
+    _checked_chunk,
+    _in_order,
+    _sorted_canonically,
+    closure_rows,
+    generates_exactly,
+    product_table,
+    restriction_rows,
+)
 from cycliso.partial_perm import canonical_bytes_key, canonical_key, check_row
 
 # first few values of the closed formula, frozen from an independent
@@ -469,6 +479,222 @@ def test_every_row_is_checked_after_an_order_error_in_an_earlier_chunk(monkeypat
     rows[12] = (0, 0, 5, 0)
     with pytest.raises(ValueError, match="^image 5 outside 1..4$"):
         FiniteMonoid(4, rows, {})
+
+
+def _checks_like_check_row(n, chunk):
+    """Check ``_checked_chunk(n, chunk)`` against ``check_row`` on each row.
+
+    A chunk whose rows all pass must pass in C, with no ``check_row``
+    call; otherwise it must raise what ``check_row`` raises for the first
+    bad row.
+    """
+    try:
+        expected = [bytes(check_row(n, row)) for row in chunk]
+    except ValueError as error:
+        with pytest.raises(ValueError) as got:
+            _checked_chunk(n, chunk)
+        assert str(got.value) == str(error)
+        return False
+    calls = []
+
+    def counted(n, row):
+        calls.append(row)
+        return check_row(n, row)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycliso.monoid, "check_row", counted)
+        rows, joined = _checked_chunk(n, chunk)
+    assert (rows, joined, calls) == (expected, b"".join(expected), [])
+    return True
+
+
+def _with_images(n, *images):
+    """A row of n slots holding ``images`` from slot 1 on, the rest 0."""
+    return bytes(images) + bytes(n - len(images))
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 20])
+def test_images_at_each_plane_boundary(n):
+    # images are checked 8 at a time: 1..8, 9..16, 17..24, each in its plane
+    edges = [y for y in (1, 8, 9, 16, 17, 20) if y <= n]
+    full = bytes(range(n, 0, -1))
+    good = [bytes(n), *(_with_images(n, y) for y in edges), _with_images(n, *edges), full]
+    assert _checks_like_check_row(n, good)
+    for y in edges:
+        # the image twice, alone and among the other edges
+        assert not _checks_like_check_row(n, [*good, _with_images(n, y, y)])
+        others = [x for x in edges if x != y]
+        assert not _checks_like_check_row(n, [_with_images(n, y, *others, y), *good])
+    # n + 1 maps to no bit, in the last plane or in one past it
+    assert not _checks_like_check_row(n, [*good, _with_images(n, n + 1)])
+    assert not _checks_like_check_row(n, [_with_images(n, 1, n + 1), *good])
+
+
+def test_repeated_images_in_the_second_and_third_plane():
+    n = 20
+    assert _checks_like_check_row(n, [_with_images(n, 10, 18, 1)])
+    for y in (10, 18):
+        row = _with_images(n, 10, 18, 1, y)
+        assert not _checks_like_check_row(n, [_with_images(n, 2), row])
+
+
+@pytest.mark.parametrize(
+    "chunk",
+    [
+        [b"\1", b"\2\3\0\1\2"],
+        [b"\1\2\3\0", b"\1\2"],
+        [(1, 2, 3), (1,), (2, 3, 0, 1, 2)],
+    ],
+    ids=["short-then-long", "long-then-short", "tuples"],
+)
+def test_rows_of_unequal_length_that_join_to_whole_rows(chunk):
+    # joined, each chunk reads as whole rows of injective maps
+    assert len(b"".join(map(bytes, chunk))) % 3 == 0
+    assert not _checks_like_check_row(3, chunk)
+
+
+# one row per domain: the partial identities of {1..4} in canonical order
+PARTIAL_IDENTITIES_4 = [
+    bytes(x if x in dom else 0 for x in range(1, 5))
+    for k in range(5)
+    for dom in combinations(range(1, 5), k)
+]
+
+
+def test_runs_of_one_row():
+    assert _in_order(4, PARTIAL_IDENTITIES_4)
+    assert len(FiniteMonoid(4, PARTIAL_IDENTITIES_4, {})) == 16
+    swapped = list(PARTIAL_IDENTITIES_4)
+    swapped[6], swapped[7] = swapped[7], swapped[6]
+    assert not _in_order(4, swapped)
+    assert not _in_order(4, PARTIAL_IDENTITIES_4[::-1])
+
+
+@pytest.mark.parametrize(
+    "rows, ordered",
+    [
+        # domains {1}, {2}, {1}: each run is in order, the key comes back
+        ([(1, 0, 0), (0, 1, 0), (2, 0, 0)], False),
+        ([(1, 0, 0), (2, 0, 0), (0, 1, 0)], True),
+        # a duplicate row inside the run of {1}, first and last
+        ([(1, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)], False),
+        ([(1, 0, 0), (2, 0, 0), (2, 0, 0), (0, 1, 0)], False),
+        ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 0, 0)], False),
+        # rank first: a rank-2 row before a rank-1 row
+        ([(1, 2, 0), (0, 0, 1)], False),
+    ],
+    ids=["key-returns", "in-order", "duplicate-first", "duplicate-last", "duplicate-end", "rank"],
+)
+def test_runs_of_equal_domain_keys(rows, ordered):
+    rows = list(map(bytes, rows))
+    assert _in_order(3, rows) is ordered
+    keys = list(map(canonical_bytes_key, rows))
+    assert all(map(lt, keys, keys[1:])) is ordered
+
+
+@pytest.mark.parametrize("error", [None, "swap", "duplicate"])
+@pytest.mark.parametrize("chunk, at", [(4, 28), (5, 30), (7, 35)])
+def test_a_domain_run_split_across_a_chunk_boundary(chunk, at, error, monkeypatch):
+    # at n=5 the 10 rows of domain {1, 2} are rows 26..35; row ``at``
+    # starts a chunk inside that run (row 35 ends it)
+    monkeypatch.setattr(cycliso.monoid, "CHECK_CHUNK", chunk)
+    n = 5
+    rows = list(restriction_rows(n))
+    keys = [row.translate(cycliso.monoid._OFF_DOMAIN) for row in rows[25:37]]
+    assert keys == [b"\1\1\1\1\0"] + [b"\0\0\1\1\1"] * 10 + [b"\0\1\0\1\1"]
+    assert at % chunk == 0
+    if error == "swap":
+        rows[at - 1], rows[at] = rows[at], rows[at - 1]
+    elif error == "duplicate":
+        rows[at] = rows[at - 1]
+    if error is None:
+        assert list(FiniteMonoid(n, rows, {}).rows) == rows
+    else:
+        with pytest.raises(ValueError, match="canonical order"):
+            FiniteMonoid(n, rows, {})
+
+
+@st.composite
+def chunks_of_rows(draw):
+    """(n, rows): mostly injective partial maps, some with one slot spoilt."""
+    n = draw(st.integers(1, 20))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        images = draw(st.permutations(range(1, n + 1)))
+        kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        row = [y if keep else 0 for y, keep in zip(images, kept)]
+        spoil = draw(st.sampled_from(["none", "none", "slot", "length"]))
+        if spoil == "slot":
+            i = draw(st.integers(0, n - 1))
+            row[i] = draw(st.sampled_from([-1, n + 1, 255, 256, *range(n + 1)]))
+        elif spoil == "length":
+            row = row[:-1] if draw(st.booleans()) else [*row, 0]
+        kind = draw(st.sampled_from([tuple, list, bytes]))
+        if kind is bytes and not all(0 <= y < 256 for y in row):
+            kind = tuple
+        rows.append(kind(row))
+    return n, rows
+
+
+@given(chunks_of_rows())
+def test_a_chunk_passes_in_c_iff_check_row_passes_every_row(case):
+    _checks_like_check_row(*case)
+
+
+@given(chunks_of_rows())
+def test_the_order_check_is_the_canonical_key_order(case):
+    n, chunk = case
+    try:
+        rows = [bytes(check_row(n, row)) for row in chunk]
+    except ValueError:
+        return
+    # sorted, or nearly so, most rows share domains with their neighbours
+    for rows in (rows, sorted(rows, key=canonical_bytes_key)):
+        keys = list(map(canonical_bytes_key, rows))
+        assert _in_order(n, rows) == all(map(lt, keys, keys[1:]))
+
+
+def _synthetic_monoid_rows(n):
+    """The restrictions of the 2n symmetries to the domains {1..k}, sorted."""
+    rows = {
+        bytes(row[x] if x <= k else 0 for x in range(1, n + 1))
+        for row in symmetry_rows(n)
+        for k in range(n + 1)
+    }
+    return sorted(rows, key=canonical_bytes_key)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_the_builders_never_check_a_row_in_python(n, monkeypatch):
+    def refuses(n, row):
+        raise AssertionError("a row was checked by check_row")
+
+    monkeypatch.setattr(cycliso.monoid, "check_row", refuses)
+    builders = [build_by_restrictions, build_by_closure]
+    if n <= cycliso.monoid.BRUTEFORCE_BOUND:
+        builders.append(build_by_bruteforce)
+    for build in builders:
+        assert len(build(n)) == KNOWN_SIZES[n]
+
+
+def test_rows_with_three_planes_of_images_are_checked_in_c(monkeypatch):
+    def refuses(n, row):
+        raise AssertionError("a row was checked by check_row")
+
+    monkeypatch.setattr(cycliso.monoid, "check_row", refuses)
+    # images 1..8, 9..16 and 17..20: the empty row, 20 rows of rank 1
+    # and 40 for each larger k
+    rows = _synthetic_monoid_rows(20)
+    assert len(rows) == 1 + 20 + 19 * 40
+    assert list(FiniteMonoid(20, rows, {}).rows) == rows
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_the_closure_sort_is_the_canonical_key_sort(n):
+    rows = closure_rows(n, [a.row for a in standard_generators(n).values()])
+    random.Random(n).shuffle(rows)
+    assert _sorted_canonically(rows) == sorted(rows, key=canonical_bytes_key)
+    assert _sorted_canonically(rows[:n]) == sorted(rows[:n], key=canonical_bytes_key)
 
 
 def test_rows_read_as_a_sequence_of_slices():
