@@ -1,6 +1,6 @@
 """Green's relations on the cycle-isometry monoid.
 
-Two routes, kept independent on purpose:
+Three routes, kept independent on purpose:
 
 - ``green_LRH`` and ``green_J`` use the structure theory: L is "same
   image", R is "same domain", H is both, and J is "same dihedral orbit
@@ -15,10 +15,17 @@ Two routes, kept independent on purpose:
   rows of each domain consecutive: an R class is a run of equal domain
   keys, found in C by the constructor's run finder, and a J class joins
   the runs whose domains share a dihedral orbit, looked up once per run.
+- ``cayley_oracle`` uses only the definitions and the monoid's declared
+  generators: R, L and J classes are the strongly connected components
+  of the right, left and two-sided Cayley graphs, and H is R and L
+  together.  It reads no restriction layout, no structure theory and no
+  product table, and it backs ``green --verify-oracle``.
 - ``green_oracle`` uses only the definitions, computing principal ideals
-  M a, a M and M a M from the full multiplication table.
+  M a, a M and M a M from the full multiplication table.  It needs no
+  generators, and its |M|^2 table keeps it to n <= 6, where the tests
+  hold it as the reference for the other two.
 
-The two must produce identical partitions; tests enforce that.
+All three must produce identical partitions; tests enforce that.
 """
 
 from collections import Counter
@@ -27,13 +34,17 @@ from itertools import chain, repeat
 from operator import getitem, or_
 
 from .dihedral import mask_images
-from .monoid import _key_runs, _row_slices, product_table
+from .monoid import _key_runs, _row_slices, _table, generates_exactly, product_table
 from .partial_perm import _OFF_DOMAIN
 from .record import Record
 
-__all__ = ["GreenClasses", "green_LRH", "green_J", "green_oracle"]
+__all__ = ["GreenClasses", "green_LRH", "green_J", "cayley_oracle", "green_oracle"]
 
 ORACLE_SIZE_BOUND = 1024  # |M|; the oracle holds an |M|^2 product table, so n <= 6
+# |M|; the CLI runs cayley_oracle up to here, so n <= 12 (|M| = 98,065).
+# Its time and memory about double with each n: green --n 12 --relation H
+# --verify-oracle peaks near 70 MB, and n = 13 near 150 MB.
+CAYLEY_SIZE_BOUND = 100_000
 
 
 class GreenClasses(Record):
@@ -159,6 +170,113 @@ def green_J(m, metric):
     keyed = ((key[_domain_mask(dom)], run) for dom, run in _domain_runs(m))
     classes = _group_by(keyed)
     return GreenClasses("J", tuple(tuple(chain.from_iterable(runs)) for runs in classes))
+
+
+def _left_products(m, s):
+    """The buffer of s * r for every row r of m, in m's order.
+
+    Point x of s * r is r's image of s's image of x, as ``s`` read
+    through r's table gives it, so column x of the result is column
+    s[x] of m's buffer, or zeros off s's domain: n strided copies.
+    """
+    n = m.n
+    buffer = m.rows.buffer
+    out = bytearray(len(buffer))
+    for x, y in enumerate(s):
+        if y:
+            out[x::n] = buffer[y - 1::n]
+    return bytes(out)
+
+
+def _scc_keys(size, columns):
+    """Each node's strongly connected component, by one iterative Tarjan.
+
+    The nodes are 0..size-1, and node v's successors are ``col[v]`` for
+    each flat int list in ``columns``.  Components are numbered in the
+    order Tarjan completes them.
+    """
+    degree = len(columns)
+    succ = [0] * (size * degree)  # node v's successors at v*degree onwards
+    for j, col in enumerate(columns):
+        succ[j::degree] = col
+    number = [-1] * size  # discovery order
+    low = [0] * size
+    comp = [-1] * size  # -1 until the node's component is complete
+    stack = []
+    count = done = 0
+    for root in range(size):
+        if number[root] >= 0:
+            continue
+        number[root] = low[root] = count
+        count += 1
+        # (node, its unread successors, the stack's height below it)
+        path = [(root, iter(succ[root * degree:root * degree + degree]), 0)]
+        stack.append(root)
+        while path:
+            v, edges, height = path[-1]
+            for w in edges:
+                if number[w] < 0:
+                    number[w] = low[w] = count
+                    count += 1
+                    path.append((w, iter(succ[w * degree:w * degree + degree]), len(stack)))
+                    stack.append(w)
+                    break
+                if comp[w] < 0 and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                path.pop()
+                if low[v] == number[v]:  # v roots a component: it and all above it
+                    for w in stack[height:]:
+                        comp[w] = done
+                    del stack[height:]
+                    done += 1
+                elif low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+    return comp
+
+
+def cayley_oracle(m, relation):
+    """Green classes from the Cayley graphs of m's declared generators.
+
+    Every element of M is a word in the generators, so a M is the set
+    of the a w, reached from a along the right Cayley graph (edges
+    r -> r s for each generator s).  Hence a R b iff each reaches the
+    other there, and the R classes are that graph's strongly connected
+    components; L classes are those of the left graph (r -> s r), J
+    classes those of the union (M a M), and H is R and L together.
+
+    The classes are those of M only if m's rows are exactly what its
+    generators generate, so ValueError is raised unless the closure of
+    the generators is m's rows (``generates_exactly``); then every
+    product is a row.  The products are read in C: ``translate`` of m's
+    buffer through s's table gives every r s, and ``_left_products``
+    every s r; one dict built from ``m.rows`` turns them into ordinals.
+    No restriction layout, structure theory or product table is read.
+    """
+    if relation not in ("L", "R", "H", "J"):
+        raise ValueError(f"relation must be one of L R H J, got {relation!r}")
+    n = m.n
+    size = len(m)
+    gens = [bytes(a.row) for a in m.generators.values()]
+    if not generates_exactly(m, gens):
+        raise ValueError("the generators do not generate exactly the monoid's rows")
+    ordinal = {row: i for i, row in enumerate(m.rows)}
+
+    def ordinals(products):
+        return list(map(ordinal.__getitem__, _row_slices(products, n)))
+
+    right = [ordinals(m.rows.buffer.translate(_table(s))) for s in gens]
+    if relation == "R":
+        keys = _scc_keys(size, right)
+    else:
+        left = [ordinals(_left_products(m, s)) for s in gens]
+        if relation == "L":
+            keys = _scc_keys(size, left)
+        elif relation == "H":
+            keys = zip(_scc_keys(size, right), _scc_keys(size, left))
+        else:
+            keys = _scc_keys(size, right + left)
+    return GreenClasses(relation, _group_by(zip(keys, range(size))))
 
 
 def green_oracle(m, relation):

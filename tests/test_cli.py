@@ -6,7 +6,14 @@ from itertools import zip_longest
 
 import pytest
 
-from cycliso import FiniteMonoid, build_by_restrictions, build_R, cardinality_formula
+from cycliso import (
+    FiniteMonoid,
+    GreenClasses,
+    build_by_restrictions,
+    build_R,
+    cardinality_formula,
+    green_LRH,
+)
 import cycliso.congruence
 import cycliso.monoid
 from cycliso import cli
@@ -201,10 +208,30 @@ def test_green_oracle_bound_is_checked_before_building(monkeypatch, capsys):
         raise AssertionError("built the monoid")
 
     monkeypatch.setattr(cli, "build_by_restrictions", no_build)
-    argv = ["green", "--n", "7", "--relation", "L", "--verify-oracle"]
+    # |M| = 98,065 at n=12 and 212,798 at n=13, the first above the bound
+    argv = ["green", "--n", "13", "--relation", "L", "--verify-oracle"]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "oracle size bound" in err
+
+
+def test_green_verifies_above_the_ideal_oracle_bound(capsys):
+    code, out, _ = run(capsys, "green", "--n", "8", "--relation", "H", "--verify-oracle")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["n"] == 8 and obj["verified"] is True
+
+
+def test_green_fails_when_the_oracle_disagrees(monkeypatch, capsys):
+    import cycliso.green
+
+    def l_classes(m, relation):
+        return GreenClasses(relation, green_LRH(m, "L").classes)
+
+    monkeypatch.setattr(cycliso.green, "cayley_oracle", l_classes)
+    code, out, _ = run(capsys, "green", "--n", "4", "--relation", "R", "--verify-oracle")
+    assert code == 1
+    assert json.loads(out)["verified"] is False
 
 
 def test_green_without_oracle(capsys):

@@ -18,6 +18,7 @@ from cycliso import (
     units,
 )
 from cycliso import green
+from cycliso.green import cayley_oracle
 from cycliso.dihedral import mask_images, symmetry_rows
 from cycliso.monoid import closure_rows, standard_generators
 from cycliso.partial_perm import canonical_bytes_key
@@ -128,9 +129,9 @@ def reference_classes(m, relation):
 
 def rotations_and_idempotents(n):
     """The submonoid generated by g and e_n, canonical but not all of M."""
-    gens = standard_generators(n)
-    rows = closure_rows(n, [gens["g"].row, gens["e_n"].row])
-    return FiniteMonoid(n, sorted(rows, key=canonical_bytes_key), {})
+    gens = {k: a for k, a in standard_generators(n).items() if k != "h"}
+    rows = closure_rows(n, [a.row for a in gens.values()])
+    return FiniteMonoid(n, sorted(rows, key=canonical_bytes_key), gens)
 
 
 @pytest.mark.parametrize(
@@ -245,6 +246,48 @@ def test_J_rejects_metric_of_another_cycle():
         green_J(m, CycleMetric(6))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [build_by_restrictions, lambda n: units(build_by_restrictions(n)), rotations_and_idempotents],
+    ids=["M", "units", "rotations"],
+)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_cayley_oracle_equals_the_ideal_oracle(n, build):
+    m = build(n)
+    for relation in "LRHJ":
+        assert cayley_oracle(m, relation) == green_oracle(m, relation), relation
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_cayley_oracle_equals_the_structure_route(n):
+    m = build_by_restrictions(n)
+    for relation in "LRH":
+        assert cayley_oracle(m, relation) == green_LRH(m, relation), relation
+    assert cayley_oracle(m, "J") == green_J(m, CycleMetric(n))
+
+
+def test_cayley_oracle_refuses_rows_its_generators_do_not_generate():
+    m = build_by_restrictions(4)
+    gens = standard_generators(4)
+    # the identity alone, the rotations of g alone, and the identity and
+    # g, not closed since g * g is no row
+    rows = sorted([bytes(range(1, 5)), bytes(gens["g"].row)], key=canonical_bytes_key)
+    for monoid, relation in (
+        (FiniteMonoid(4, m.rows, {}), "R"),
+        (FiniteMonoid(4, units(m).rows, {"g": gens["g"]}), "J"),
+        (FiniteMonoid(4, rows, {"g": gens["g"]}), "L"),
+    ):
+        with pytest.raises(ValueError, match="do not generate exactly"):
+            cayley_oracle(monoid, relation)
+
+
+def test_cayley_oracle_validation():
+    m = build_by_restrictions(3)
+    for relation in ("D", "X"):
+        with pytest.raises(ValueError, match="relation must be"):
+            cayley_oracle(m, relation)
+
+
 def test_oracle_checks_its_bound_before_tabulating(monkeypatch):
     tabulated = []
     tabulate = green.product_table
@@ -286,6 +329,7 @@ def test_partitions_cover_everything_once():
         green_LRH(m, "H"),
         green_J(m, CycleMetric(4)),
         *(green_oracle(m, rel) for rel in "LRHJD"),
+        *(cayley_oracle(m, rel) for rel in "LRHJ"),
     ):
         seen = [i for c in classes.classes for i in c]
         assert sorted(seen) == list(range(len(m)))
