@@ -8,13 +8,13 @@ Three routes, kept independent on purpose:
   symmetries, so a partial isometry carries one domain onto another
   exactly when a symmetry does.  The keys are read by C calls, with no
   Python frame per element: one ``translate`` of the monoid's buffer
-  through ``_OFF_DOMAIN`` gives every domain key (a key is the middle
-  term of ``canonical_bytes_key``), and each row's image key comes from
-  ``bytes.maketrans``.  R and J rely on the order the monoid's
-  constructor checked (rank, then domain, then images), which keeps the
-  rows of each domain consecutive: an R class is a run of equal domain
-  keys, found in C by the constructor's run finder, and a J class joins
-  the runs whose domains share a dihedral orbit, looked up once per run.
+  through ``_OFF_DOMAIN`` gives the domain keys (the middle term of
+  ``canonical_bytes_key``), and ``bytes.maketrans`` each row's image
+  key.  R, H and J rely on the order the constructor checked (rank,
+  then domain, then images), which keeps the rows of each domain
+  consecutive: an R class is a run of equal domain keys, found in C by
+  the constructor's run finder, an H class the rows of one image in a
+  run, and a J class the runs whose domains share a dihedral orbit.
 - ``cayley_oracle`` uses only the definitions and the monoid's declared
   generators: R, L and J classes are the strongly connected components
   of the right, left and two-sided Cayley graphs, and H is R and L
@@ -30,7 +30,7 @@ All three must produce identical partitions; tests enforce that.
 
 from collections import Counter
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import getitem, or_
 
 from .dihedral import mask_images
@@ -72,14 +72,6 @@ def _group_by(keyed):
     for key, i in keyed:
         buckets.setdefault(key, []).append(i)
     return tuple(map(tuple, buckets.values()))
-
-
-def _domain_keys(m):
-    """Each row's domain key: byte i is 1 iff point i + 1 is off the domain.
-
-    One ``translate`` of the monoid's buffer gives every key at once.
-    """
-    return _row_slices(m.rows.buffer.translate(_OFF_DOMAIN), m.n)
 
 
 def _image_keys(m):
@@ -143,17 +135,24 @@ def _orbit_keys(n):
 def green_LRH(m, relation):
     """L, R or H classes: same image, same domain, or both.
 
-    R classes are the domain runs of the canonical order; L and H group
-    the ordinals by image key, and H by domain key too.
+    R classes are the domain runs of the canonical order, L groups the
+    ordinals by image key, and H groups each run by image key, taking
+    exactly len(run) keys from one stream.  At n = 4 the H classes of
+    rank 2 and 3 are pairs, and the units are one class of 2n:
+
+    >>> from cycliso.monoid import build_by_restrictions
+    >>> green_LRH(build_by_restrictions(4), "H").class_sizes_histogram()
+    {1: 17, 2: 36, 8: 1}
     """
     if relation not in ("L", "R", "H"):
         raise ValueError(f"relation must be L, R or H, got {relation!r}")
     if relation == "R":
         return GreenClasses("R", tuple(tuple(run) for _, run in _domain_runs(m)))
     keys = _image_keys(m)
-    if relation == "H":
-        keys = zip(_domain_keys(m), keys)
-    return GreenClasses(relation, _group_by(zip(keys, range(len(m)))))
+    if relation == "L":
+        return GreenClasses("L", _group_by(zip(keys, range(len(m)))))
+    groups = (_group_by(zip(islice(keys, len(run)), run)) for _, run in _domain_runs(m))
+    return GreenClasses("H", tuple(chain.from_iterable(groups)))
 
 
 def green_J(m, metric):

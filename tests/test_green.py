@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import compress
 from math import gcd
@@ -58,6 +59,21 @@ def test_units_are_one_H_class():
     u = units(m)
     ordinals = sorted(m.rows.index(bytes(a.row)) for a in u)
     assert tuple(ordinals) in H.classes
+
+
+def test_H_keeps_no_pair_key_per_element():
+    # H groups each domain run by image key, so it holds one run's keys
+    # at a time and the classes themselves; a (domain, image) key for
+    # each of the 98,065 elements, hashed in one dict, peaked at 29 MB
+    m = build_by_restrictions(12)
+    tracemalloc.start()
+    try:
+        H = green_LRH(m, "H")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, H.classes)) == len(m)
+    assert peak < 16_000_000
 
 
 def test_J_examples():
