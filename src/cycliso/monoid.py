@@ -66,7 +66,8 @@ __all__ = [
 
 BYTE_N_BOUND = 255  # rows are held as bytes
 BRUTEFORCE_BOUND = 7  # candidate maps grow like n! * 2^n; keep the oracle honest
-# the pair scan holds an |M|^2 product table, then runs |M|^2 / 2 short BFS runs
+# the pair scan holds an |M|^2 product table, and searches the pairs not
+# inside one computed proper submonoid (see rank_search)
 PAIR_SEARCH_BOUND = 5
 
 
@@ -606,11 +607,18 @@ def rank_search(m, exhaustive_pairs=False):
 
     The triple is checked by a row closure.  The pair scan builds the
     product table once and transposes it, so column g lists the ordinal
-    of r * m[g] for every ordinal r; each candidate subset is then a
-    breadth-first search on ordinals from the identity's, over the
-    columns of its members (a single i is searched as the pair (i, i)).
-    The scan holds |M|^2 table entries and runs |M|^2 / 2 searches, and
-    so is gated on n <= PAIR_SEARCH_BOUND; above that the report simply
+    of r * m[g] for every ordinal r; ``closure`` is a breadth-first
+    search on ordinals from the identity's, over the columns of the
+    given members.  Before the scan it computes C, the closure of every
+    row that is not total.  When |C| < |M|, C is a proper submonoid, and
+    a candidate inside C generates at most C, so it is decided as not
+    generating without a search; when |C| = |M|, C is dropped.  Only the
+    choice of seed comes from theory (a product is total only when both
+    factors are, so C tends to miss the non-identity units); the verdict
+    rests on C's computed size.  Every other candidate (a single i is the
+    pair (i, i)) is searched, and ``pairs_checked`` counts every pair,
+    searched or not.  The scan holds |M|^2 table entries, and so is
+    gated on n <= PAIR_SEARCH_BOUND; above that the report simply
     records that the scan did not run.
     """
     n = m.n
@@ -624,22 +632,26 @@ def rank_search(m, exhaustive_pairs=False):
     right = list(zip(*product_table(m)))
     ident = rows.index(bytes(range(1, n + 1)))
 
-    def generates(i, j):
-        a, b = right[i], right[j]
+    def closure(columns):
         order = [ident]
         seen = {ident}
         for r in order:
-            p = a[r]
-            if p not in seen:
-                seen.add(p)
-                order.append(p)
-            p = b[r]
-            if p not in seen:
-                seen.add(p)
-                order.append(p)
-        return len(order) == size
+            for column in columns:
+                p = column[r]
+                if p not in seen:
+                    seen.add(p)
+                    order.append(p)
+        return seen
 
-    # the single {i} generates what the pair (i, i) does
+    inside = closure([right[i] for i, row in enumerate(rows) if 0 in row])
+    if len(inside) == size:  # C is m itself, and decides nothing
+        inside = ()
+
+    def generates(i, j):
+        if i in inside and j in inside:
+            return False
+        return len(closure((right[i], right[j]))) == size
+
     singles = tuple(i for i in range(size) if generates(i, i))
     pairs = tuple((i, j) for i, j in combinations(range(size), 2) if generates(i, j))
     checked = size * (size - 1) // 2

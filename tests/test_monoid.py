@@ -996,3 +996,36 @@ def test_pair_scan_matches_row_closures(n):
         )
         assert got == row_closure_pair_scan(sub)
         assert len(report.generating_pairs) == pair_count
+
+
+def generated(n, *gens):
+    """The submonoid the given elements generate, with no generators named."""
+    return FiniteMonoid(n, _sorted_canonically(closure_rows(n, [a.row for a in gens])), {})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pair_scan_matches_row_closures_on_proper_submonoids(n):
+    g, e_n = standard_generators(n)["g"], idempotent(n, n)
+    # in <g, e_n> the rows that are not total close to a proper submonoid,
+    # which decides most pairs; in <e_(n-1), e_n> they close to the whole
+    # monoid, which must then decide none
+    for sub, pair_count in (
+        (generated(n, g, e_n), {3: 18, 4: 32, 5: 100}[n]),
+        (generated(n, idempotent(n, n - 1), e_n), 1),
+    ):
+        report = rank_search(sub, exhaustive_pairs=True)
+        got = (
+            report.singles_checked,
+            report.pairs_checked,
+            report.generating_singles,
+            report.generating_pairs,
+        )
+        assert got == row_closure_pair_scan(sub)
+        assert len(report.generating_pairs) == pair_count
+
+
+def test_pair_scan_at_six(monkeypatch):
+    monkeypatch.setattr(cycliso.monoid, "PAIR_SEARCH_BOUND", 6)
+    report = rank_search(build_by_restrictions(6), exhaustive_pairs=True)
+    assert report.minimum_is_three
+    assert (report.singles_checked, report.pairs_checked) == (703, 246_753)
