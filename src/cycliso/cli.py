@@ -42,6 +42,7 @@ from .monoid import (
     build_by_restrictions,
     cardinality_formula,
     rank_search,
+    restriction_count,
     restriction_layout,
     restriction_rows,
 )
@@ -130,7 +131,7 @@ def _layout_lines(n):
 
     Yields ``(count, text)`` per domain, in canonical order: ``text``
     holds the domain's ``count`` lines.  Every ``enumerate`` prints
-    through here, whichever route built and checked the monoid.
+    through here, whichever route checked the rows.
 
     Each (d0, d1) order of the layout is read once into label columns:
     ``cols[x][j]`` is the label of the image of point x under the
@@ -154,15 +155,15 @@ def _layout_lines(n):
 def cmd_enumerate(args):
     if args.method == "bruteforce" and args.n > BRUTEFORCE_BOUND:
         raise UsageError(f"n={args.n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
-    rows = BUILDERS[args.method](args.n).rows
+    if args.method == "restrictions":
+        restriction_count(args.n)  # checks every row of the layout, keeping none
     # the restriction theorem at this n: another route's checked monoid
-    # must hold the layout's rows, row for row (the restriction route's
-    # monoid is built from those rows)
-    if args.method != "restrictions" and not all(
-        starmap(eq, zip_longest(rows, restriction_rows(args.n)))
+    # must hold the layout's rows, row for row; it is freed once checked,
+    # since the lines come from the layout alone
+    elif not all(
+        starmap(eq, zip_longest(BUILDERS[args.method](args.n).rows, restriction_rows(args.n)))
     ):
         raise ValueError(f"the {args.method} rows differ from the restriction layout")
-    del rows  # checked; the lines come from the layout alone
     # each line has the bytes of json.dumps(a.to_json(), separators=(",", ":"))
     with _output(args.out) as fh:
         # whole domains per write, until a write holds ENUMERATE_BATCH lines:
@@ -185,7 +186,7 @@ def cmd_count(args):
     rows = []
     mismatch = False
     for n in args.n:
-        enumerated = len(build_by_restrictions(n))
+        enumerated = restriction_count(n)
         formula = cardinality_formula(n)
         ok = enumerated == formula
         mismatch = mismatch or not ok

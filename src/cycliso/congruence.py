@@ -386,15 +386,8 @@ def enumerate_quotient(presentation, max_slots=None):
 
     def glue(row, a, x):  # fix, but a new slot is merged at once into live x
         nonlocal merges, peak_live
-        t = row[a]
-        if t != -1:  # as in fix
-            while True:
-                p = parent[t]
-                if p == t:
-                    row[a] = t
-                    return t
-                parent[t] = p = parent[p]
-                t = p
+        if row[a] != -1:
+            return fix(row, a)
         t = len(parent)
         if t >= max_slots:
             raise over_budget(t)

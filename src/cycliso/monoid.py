@@ -12,14 +12,16 @@ they can cross-check one another:
 - ``build_by_bruteforce``: filter every injective partial map through the
   distance test (the definition route; exponential, small n only).
 
-Each route emits dense rows in canonical order, and a ``FiniteMonoid``
-checks that order (it never sorts) and holds the rows once, as one
-``bytes`` buffer of |M| * n bytes (so n <= 255), read as the ``Rows``
-sequence of its n-byte slices; the constructor checks the stream in
-chunks of CHECK_CHUNK rows, in C, and keeps no object per element.  A
-chunk of valid rows takes O(n) C calls: its injectivity is read from the
-columns of the joined rows, and its order from the runs of equal domain
-keys.
+Each route emits dense rows in canonical order.  One checker,
+``_checked_rows``, checks the stream in chunks of CHECK_CHUNK rows, in
+C: each row, the order (nothing sorts) and that the identity arrived.
+A chunk of valid rows takes O(n) C calls: its injectivity is read from
+the columns of the joined rows, and its order from the runs of equal
+domain keys.  Its chunks have three readers.  A ``FiniteMonoid`` holds
+them once, as one ``bytes`` buffer of |M| * n bytes (so n <= 255), read
+as the ``Rows`` sequence of its n-byte slices, and keeps no object per
+element.  The CLI's ``count`` and ``enumerate`` only count them, through
+``restriction_count``, and keep no row.
 ``PartialPerm`` objects are only views built when an element is read.
 A product a * b is one C call, ``a.translate(_table(b))``: b's row with
 a leading 0, padded to 256 bytes.
@@ -54,6 +56,7 @@ __all__ = [
     "monoid_closure",
     "restriction_layout",
     "restriction_rows",
+    "restriction_count",
     "build_by_restrictions",
     "build_by_closure",
     "build_by_bruteforce",
@@ -173,29 +176,33 @@ def _in_order(n, rows):
     return all(map(lt, ranked, ranked[1:]))
 
 
-def _row_buffer(n, rows):
-    """The rows, checked, as ``Rows`` over one buffer.
+def _checked_rows(n, rows):
+    """The one row checker: yields each chunk of the rows, checked, as
+    its joined bytes.
 
     The stream is read CHECK_CHUNK rows at a time, and the last row of
     each chunk is carried into the order check of the next.  An order
     error is raised only once every row has passed ``_checked_chunk``,
     so a bad row raises what ``check_row`` raises for it even when an
-    earlier chunk is out of order.  ``BytesIO`` grows its buffer in
-    place and hands it out without a copy, so the rows are held once.
+    earlier chunk is out of order; then the identity row must have
+    arrived.  Each chunk's list of rows is searched for it, in C, until
+    it is found.
     """
     stream = iter(rows)
-    out = io.BytesIO()
     ordered = True
+    found = False
     last = None
     while chunk := list(islice(stream, CHECK_CHUNK)):
         chunk, joined = _checked_chunk(n, chunk)
-        out.write(joined)
+        yield joined
         if ordered:
             ordered = _in_order(n, chunk if last is None else [last, *chunk])
             last = chunk[-1]
+        found = found or bytes(range(1, n + 1)) in chunk
     if not ordered:
         raise ValueError("rows not in strictly increasing canonical order")
-    return Rows(out.getvalue(), n)
+    if not found:
+        raise ValueError("identity map missing")
 
 
 def _row_slices(buffer, n):
@@ -247,7 +254,9 @@ class FiniteMonoid:
     The elements are held once, as ``rows``: a ``Rows`` sequence over
     one buffer of dense rows, each n bytes, in canonical order (rank,
     then domain, then image row), in which the rows must arrive, each
-    once; the constructor checks this and never sorts.  Rows may arrive
+    once, with the identity among them.  The constructor writes the
+    chunks of ``_checked_rows``, the one row checker, which ``count``
+    and ``enumerate`` read too; it never sorts.  Rows may arrive
     as any sequences of ints and are stored as bytes, so n is at most
     255.  Indexing and iteration hand out ``PartialPerm`` views built
     on access; membership is a binary search.  An instance holds only
@@ -261,9 +270,11 @@ class FiniteMonoid:
     def __init__(self, n, rows, generators):
         _check_byte_n(n)
         self.n = n
-        self.rows = _row_buffer(n, rows)
-        if PartialPerm.identity(n) not in self:
-            raise ValueError("identity map missing")
+        # BytesIO grows its buffer in place and hands it out without a
+        # copy, so the rows are held once
+        out = io.BytesIO()
+        out.writelines(_checked_rows(n, rows))
+        self.rows = Rows(out.getvalue(), n)
         self.generators = dict(generators)
         for name, a in self.generators.items():
             if a not in self:
@@ -467,6 +478,16 @@ def restriction_rows(n):
         return map(bytes(ident).translate, map(tables.__getitem__, ks))
 
     return chain.from_iterable(starmap(restrictions, restriction_layout(n)))
+
+
+def restriction_count(n):
+    """The number of rows of ``restriction_rows(n)``, each checked as the
+    constructor checks it; no row is kept.
+
+    >>> restriction_count(5) == cardinality_formula(5)
+    True
+    """
+    return sum(map(len, _checked_rows(n, restriction_rows(n)))) // n
 
 
 def build_by_restrictions(n):

@@ -133,6 +133,16 @@ def test_enumerate_checks_the_monoid_before_it_prints(monkeypatch, capsys):
     assert err == "internal error: row rejected\n"
 
 
+def test_count_checks_every_row_before_it_prints(monkeypatch, capsys):
+    def rejects(n, chunk):
+        raise ValueError("row rejected")
+
+    monkeypatch.setattr(cycliso.monoid, "_checked_chunk", rejects)
+    code, out, err = run(capsys, "count", "--n", "5")
+    assert code == 1 and out == ""
+    assert err == "internal error: row rejected\n"
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -527,7 +537,7 @@ TIGHT_OUT_OF_MEMORY_CHILD = OUT_OF_MEMORY_CHILD.replace("(24 << 20)", "(16 << 20
 @pytest.mark.parametrize(
     "command",
     [
-        "enumerate --n 16 --out /dev/null",
+        "enumerate --n 16 --method closure --out /dev/null",
         "green --n 16 --relation J",
         "present verify --n 16 --which R",
     ],
@@ -543,3 +553,19 @@ def test_running_out_of_memory_elsewhere_is_a_one_line_error(command):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+def test_count_and_enumerate_check_the_rows_without_the_buffer():
+    # the same 16 MB to grow by, half the buffer these commands do not build
+    for command, stdout in [
+        ("enumerate --n 16 --out /dev/null", ""),
+        ("count --n 16 --check-formula", "n,enumerated,formula,match\n16,2096737,2096737,true\n"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-c", TIGHT_OUT_OF_MEMORY_CHILD, *command.split()],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, ""), command

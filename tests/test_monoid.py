@@ -36,11 +36,13 @@ from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement, symmetry_rows
 from cycliso.monoid import (
     _checked_chunk,
+    _checked_rows,
     _in_order,
     _sorted_canonically,
     closure_rows,
     generates_exactly,
     product_table,
+    restriction_count,
     restriction_rows,
 )
 from cycliso.partial_perm import canonical_bytes_key, canonical_key, check_row
@@ -133,6 +135,11 @@ def test_restriction_counts_per_domain_give_the_formula(n):
     even = 1 - n % 2
     assert total == 2 * n * 2**n - (2 * n - 1) - n * n - even * n * n // 2
     assert total == cardinality_formula(n) == len(build_by_restrictions(n))
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_restriction_count_is_the_formula(n):
+    assert restriction_count(n) == cardinality_formula(n)
 
 
 def restriction_rows_by_sorting(n):
@@ -249,21 +256,40 @@ def test_removal_idempotents_conjugate_around_the_cycle():
             assert w * e_n * w == idempotent(n, j), (n, j)
 
 
+# the constructor and the one row checker it reads, with no generators
+ROW_CHECKS = [
+    lambda n, rows: FiniteMonoid(n, rows, {}),
+    lambda n, rows: list(_checked_rows(n, rows)),
+]
+
+ORDER_ERROR = "^rows not in strictly increasing canonical order$"
+
+
 @pytest.mark.parametrize(
-    "rows, generators",
+    "rows, generators, error",
     [
-        pytest.param([(1, 2, 3), (1, 1, 0)], {}, id="repeated-image"),
-        pytest.param([(1, 2, 3), (4, 2, 3)], {}, id="image-above-n"),
-        pytest.param([(1, 2, 3), (1, 2)], {}, id="short-row"),
-        pytest.param([(1, 2, 3), (0, 0, 0), (0, 0, 0)], {}, id="duplicate-row"),
-        pytest.param([(0, 0, 0), (0, 0, 0), (1, 2, 3)], {}, id="duplicate-row-in-order"),
-        pytest.param([(0, 0, 0)], {}, id="missing-identity"),
-        pytest.param([(1, 2, 3)], {"e": idempotent(3, 3)}, id="generator-not-a-member"),
+        pytest.param([(1, 2, 3), (1, 1, 0)], {}, "^not injective", id="repeated-image"),
+        pytest.param([(1, 2, 3), (4, 2, 3)], {}, "^image 4 outside", id="image-above-n"),
+        pytest.param([(1, 2, 3), (1, 2)], {}, "^row has 2 slots", id="short-row"),
+        pytest.param([(1, 2, 3), (0, 0, 0), (0, 0, 0)], {}, ORDER_ERROR, id="duplicate-row"),
+        pytest.param(
+            [(0, 0, 0), (0, 0, 0), (1, 2, 3)], {}, ORDER_ERROR, id="duplicate-row-in-order"
+        ),
+        pytest.param([(0, 0, 0)], {}, "^identity map missing$", id="missing-identity"),
+        # the order error comes first, and the identity is missing too
+        pytest.param([(1, 0, 0), (0, 0, 0)], {}, ORDER_ERROR, id="out-of-order-and-missing"),
+        pytest.param(
+            [(1, 2, 3)], {"e": idempotent(3, 3)}, "^generator e is not",
+            id="generator-not-a-member",
+        ),
     ],
 )
-def test_identity_must_be_present(rows, generators):
-    with pytest.raises(ValueError):
+def test_identity_must_be_present(rows, generators, error):
+    with pytest.raises(ValueError, match=error):
         FiniteMonoid(3, rows, generators)
+    if not generators:  # the row checker reads no generators
+        with pytest.raises(ValueError, match=error):
+            list(_checked_rows(3, rows))
 
 
 @pytest.mark.parametrize(
@@ -308,9 +334,10 @@ def test_constructor_rejects_what_check_row_rejects(bad, place):
         # a good row whose buffer holds 4-byte items, not its images
         "after-an-int-array": [array("i", ident), bad],
     }[place]
-    with pytest.raises(expected.type) as got:
-        FiniteMonoid(3, rows, {})
-    assert str(got.value) == str(expected.value)
+    for check in ROW_CHECKS:
+        with pytest.raises(expected.type) as got:
+            check(3, rows)
+        assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("odd", [(True, 0, 0)], ids=["true"])
@@ -386,6 +413,8 @@ def test_rows_must_arrive_in_canonical_order(n):
     m = build_by_closure(n)
     with pytest.raises(ValueError, match="canonical order"):
         FiniteMonoid(n, reversed(m.rows), m.generators)
+    with pytest.raises(ValueError, match="canonical order"):
+        list(_checked_rows(n, reversed(m.rows)))
 
 
 def test_constructor_holds_no_key_per_element():
@@ -450,9 +479,10 @@ def test_a_bad_row_at_a_chunk_boundary_raises_what_check_row_raises(
         check_row(n, bad)
     rows = list(restriction_rows(n))
     rows[at] = bad
-    with pytest.raises(ValueError) as got:
-        FiniteMonoid(n, rows, {})
-    assert str(got.value) == str(expected.value)
+    for check in ROW_CHECKS:
+        with pytest.raises(ValueError) as got:
+            check(n, rows)
+        assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("error", ["swap", "duplicate"])
@@ -468,8 +498,9 @@ def test_the_order_is_checked_across_chunk_boundaries(n, at, error, monkeypatch)
         rows[at - 1], rows[at] = rows[at], rows[at - 1]
     else:
         rows[at] = rows[at - 1]
-    with pytest.raises(ValueError, match="rows not in strictly increasing canonical order"):
-        FiniteMonoid(n, rows, {})
+    for check in ROW_CHECKS:
+        with pytest.raises(ValueError, match=ORDER_ERROR):
+            check(n, rows)
 
 
 def test_every_row_is_checked_after_an_order_error_in_an_earlier_chunk(monkeypatch):
@@ -477,8 +508,9 @@ def test_every_row_is_checked_after_an_order_error_in_an_earlier_chunk(monkeypat
     rows = list(restriction_rows(4))
     rows[1], rows[2] = rows[2], rows[1]
     rows[12] = (0, 0, 5, 0)
-    with pytest.raises(ValueError, match="^image 5 outside 1..4$"):
-        FiniteMonoid(4, rows, {})
+    for check in ROW_CHECKS:
+        with pytest.raises(ValueError, match="^image 5 outside 1..4$"):
+            check(4, rows)
 
 
 def _checks_like_check_row(n, chunk):
@@ -610,8 +642,9 @@ def test_a_domain_run_split_across_a_chunk_boundary(chunk, at, error, monkeypatc
     if error is None:
         assert list(FiniteMonoid(n, rows, {}).rows) == rows
     else:
-        with pytest.raises(ValueError, match="canonical order"):
-            FiniteMonoid(n, rows, {})
+        for check in ROW_CHECKS:
+            with pytest.raises(ValueError, match="canonical order"):
+                check(n, rows)
 
 
 @st.composite
@@ -675,6 +708,7 @@ def test_the_builders_never_check_a_row_in_python(n, monkeypatch):
         builders.append(build_by_bruteforce)
     for build in builders:
         assert len(build(n)) == KNOWN_SIZES[n]
+    assert restriction_count(n) == KNOWN_SIZES[n]
 
 
 def test_rows_with_three_planes_of_images_are_checked_in_c(monkeypatch):
