@@ -28,8 +28,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import starmap, zip_longest
-from operator import eq
 
 import cycliso
 from .dihedral import symmetry_rows
@@ -37,14 +35,14 @@ from .monoid import (
     BRUTEFORCE_BOUND,
     BYTE_N_BOUND,
     PAIR_SEARCH_BOUND,
-    build_by_bruteforce,
-    build_by_closure,
+    bruteforce_rows,
     build_by_restrictions,
     cardinality_formula,
+    closure_route_rows,
+    matches_layout,
     rank_search,
     restriction_count,
     restriction_layout,
-    restriction_rows,
 )
 
 # The commands that read congruences, presentations or Green's classes
@@ -63,10 +61,11 @@ EXIT_INCONCLUSIVE = 3
 # ENUMERATE_BATCH + 2n lines (the last write may hold fewer)
 ENUMERATE_BATCH = 4096
 
-BUILDERS = {
-    "restrictions": build_by_restrictions,
-    "closure": build_by_closure,
-    "bruteforce": build_by_bruteforce,
+# the rows each second route of `enumerate` hands over, checked against
+# the restriction layout
+ROUTES = {
+    "closure": closure_route_rows,
+    "bruteforce": bruteforce_rows,
 }
 
 
@@ -157,12 +156,10 @@ def cmd_enumerate(args):
         raise UsageError(f"n={args.n} above configured bruteforce bound {BRUTEFORCE_BOUND}")
     if args.method == "restrictions":
         restriction_count(args.n)  # checks every row of the layout, keeping none
-    # the restriction theorem at this n: another route's checked monoid
-    # must hold the layout's rows, row for row; it is freed once checked,
-    # since the lines come from the layout alone
-    elif not all(
-        starmap(eq, zip_longest(BUILDERS[args.method](args.n).rows, restriction_rows(args.n)))
-    ):
+    # the restriction theorem at this n: another route's rows must be the
+    # layout's, as a set; they are freed once checked, since the lines
+    # come from the layout alone
+    elif not matches_layout(args.n, ROUTES[args.method](args.n)):
         raise ValueError(f"the {args.method} rows differ from the restriction layout")
     # each line has the bytes of json.dumps(a.to_json(), separators=(",", ":"))
     with _output(args.out) as fh:
@@ -355,7 +352,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="emit all elements as JSON lines")
     p.add_argument("--n", type=_monoid_n, required=True)
-    p.add_argument("--method", choices=tuple(BUILDERS), default="restrictions")
+    p.add_argument("--method", choices=("restrictions", *ROUTES), default="restrictions")
     common(p)
     p.set_defaults(func=cmd_enumerate)
 

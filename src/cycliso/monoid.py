@@ -8,20 +8,23 @@ they can cross-check one another:
   ``restriction_layout`` lists them (the characterization route; fast,
   the default).
 - ``build_by_closure``: generate from {g, h, e_n} by right multiplication
-  (the rank-3 route).
+  (the rank-3 route), the set ``closure_route_rows`` sorted.
 - ``build_by_bruteforce``: filter every injective partial map through the
-  distance test (the definition route; exponential, small n only).
+  distance test (the definition route, ``bruteforce_rows``; exponential,
+  small n only).
 
-Each route emits dense rows in canonical order.  One checker,
-``_checked_rows``, checks the stream in chunks of CHECK_CHUNK rows, in
-C: each row, the order (nothing sorts) and that the identity arrived.
-A chunk of valid rows takes O(n) C calls: its injectivity is read from
-the columns of the joined rows, and its order from the runs of equal
-domain keys.  Its chunks have three readers.  A ``FiniteMonoid`` holds
-them once, as one ``bytes`` buffer of |M| * n bytes (so n <= 255), read
-as the ``Rows`` sequence of its n-byte slices, and keeps no object per
-element.  The CLI's ``count`` and ``enumerate`` only count them, through
-``restriction_count``, and keep no row.
+Each builder hands its constructor dense rows in canonical order.  One
+checker, ``_checked_rows``, checks the stream in chunks of CHECK_CHUNK
+rows, in C: each row, the order (nothing sorts) and that the identity
+arrived.  A chunk of valid rows takes O(n) C calls: its injectivity is
+read from the columns of the joined rows, and its order from the runs
+of equal domain keys.  Its chunks have three readers.  A
+``FiniteMonoid`` holds them once, as one ``bytes`` buffer of |M| * n
+bytes (so n <= 255), read as the ``Rows`` sequence of its n-byte slices,
+and keeps no object per element.  ``restriction_count`` only counts the
+layout's rows, for the CLI's ``count`` and ``enumerate``, and
+``matches_layout`` looks each of them up in another route's rows, for
+``enumerate --method closure|bruteforce``; neither keeps a row.
 ``PartialPerm`` objects are only views built when an element is read.
 A product a * b is one C call, ``a.translate(_table(b))``: b's row with
 a leading 0, padded to 256 bytes.
@@ -33,7 +36,7 @@ import re
 from bisect import bisect_left
 from functools import reduce
 from itertools import chain, combinations, compress, islice, permutations, repeat, starmap
-from operator import index, itemgetter, lt, methodcaller, or_
+from operator import index, itemgetter, lt, methodcaller, not_, or_
 from struct import iter_unpack
 
 from .dihedral import DihedralElement, symmetry_rows
@@ -57,8 +60,11 @@ __all__ = [
     "restriction_layout",
     "restriction_rows",
     "restriction_count",
+    "matches_layout",
     "build_by_restrictions",
+    "closure_route_rows",
     "build_by_closure",
+    "bruteforce_rows",
     "build_by_bruteforce",
     "cardinality_formula",
     "b2_set",
@@ -69,8 +75,9 @@ __all__ = [
 
 BYTE_N_BOUND = 255  # rows are held as bytes
 BRUTEFORCE_BOUND = 7  # candidate maps grow like n! * 2^n; keep the oracle honest
-# the pair scan holds an |M|^2 product table, and searches the pairs not
-# inside one computed proper submonoid (see rank_search)
+# the pair scan holds an |M|^2 product table, and searches only the pairs
+# that no computed proper submonoid holds (see rank_search); on M itself
+# that leaves none
 PAIR_SEARCH_BOUND = 5
 
 
@@ -490,6 +497,31 @@ def restriction_count(n):
     return sum(map(len, _checked_rows(n, restriction_rows(n)))) // n
 
 
+def matches_layout(n, rows):
+    """Whether the collection ``rows`` holds exactly the rows of
+    ``restriction_rows(n)``, which are checked as the constructor checks
+    them.
+
+    The layout's rows stream through ``_checked_rows`` into membership
+    tests, and ``rows`` must hold every one and no more than the stream
+    counts.  A row missing, extra or replaced fails, and so does a
+    sequence holding one row twice in place of another, since the other
+    is then missing.  Nothing is sorted and no row of the layout is kept.
+
+    >>> matches_layout(4, closure_route_rows(4))
+    True
+    >>> matches_layout(4, set(islice(restriction_rows(4), 96)))
+    False
+    """
+    count = 0
+    held = True
+    # read to the end, so that the checker's own errors still raise
+    for chunk in _checked_rows(n, restriction_rows(n)):
+        count += len(chunk) // n
+        held = held and all(map(rows.__contains__, _row_slices(chunk, n)))
+    return held and count == len(rows)
+
+
 def build_by_restrictions(n):
     """Every restriction of every cycle symmetry; the reference builder.
 
@@ -517,18 +549,23 @@ def _sorted_canonically(rows):
     return rows
 
 
-def build_by_closure(n):
-    """Closure of {g, h, e_n}, sorted: breadth-first order is not canonical."""
+def closure_route_rows(n):
+    """The set of rows {g, h, e_n} generate, as ``_closure`` builds it:
+    the closure route's rows, neither sorted nor checked."""
     _check_n(n)
-    gens = standard_generators(n)
-    rows = closure_rows(n, [a.row for a in gens.values()])
-    return FiniteMonoid(n, _sorted_canonically(rows), gens)
+    return _closure(n, [a.row for a in standard_generators(n).values()])[1]
 
 
-def build_by_bruteforce(n):
-    """All injective partial maps that pass the distance test, by scan.
+def build_by_closure(n):
+    """The closure route's rows, sorted: a set has no canonical order."""
+    return FiniteMonoid(n, _sorted_canonically(closure_route_rows(n)), standard_generators(n))
 
-    Exists purely as an oracle for the other builders, so it refuses to
+
+def bruteforce_rows(n):
+    """The bruteforce route's rows: all injective partial maps that pass
+    the distance test, by scan, in canonical order, unchecked.
+
+    Exists purely as an oracle for the other routes, so it refuses to
     run above BRUTEFORCE_BOUND rather than grind.
     """
     from .cycle import CycleMetric  # not loaded by the other builders
@@ -560,7 +597,12 @@ def build_by_bruteforce(n):
                     for x, y in zip(dom, img):
                         row[x - 1] = y
                     rows.append(bytes(row))
-    return FiniteMonoid(n, rows, standard_generators(n))
+    return rows
+
+
+def build_by_bruteforce(n):
+    """The bruteforce route's rows, as a monoid."""
+    return FiniteMonoid(n, bruteforce_rows(n), standard_generators(n))
 
 
 def cardinality_formula(n):
@@ -629,18 +671,21 @@ def rank_search(m, exhaustive_pairs=False):
     The triple is checked by a row closure.  The pair scan builds the
     product table once and transposes it, so column g lists the ordinal
     of r * m[g] for every ordinal r; ``closure`` is a breadth-first
-    search on ordinals from the identity's, over the columns of the
-    given members.  Before the scan it computes C, the closure of every
-    row that is not total.  When |C| < |M|, C is a proper submonoid, and
-    a candidate inside C generates at most C, so it is decided as not
-    generating without a search; when |C| = |M|, C is dropped.  Only the
-    choice of seed comes from theory (a product is total only when both
-    factors are, so C tends to miss the non-identity units); the verdict
-    rests on C's computed size.  Every other candidate (a single i is the
-    pair (i, i)) is searched, and ``pairs_checked`` counts every pair,
-    searched or not.  The scan holds |M|^2 table entries, and so is
-    gated on n <= PAIR_SEARCH_BOUND; above that the report simply
-    records that the scan did not run.
+    search on ordinals over the columns of the given members.  Before
+    the scan it computes three kinds of submonoid: C, the closure of
+    every row that is not total; U, the closure of the total rows; and,
+    for each total row u other than the identity, C_u, the closure of
+    C's seeds and u, grown from C (C's members need only u's column).  A
+    candidate (a single i is the pair (i, i)) that some computed set
+    with fewer than |M| members holds generates at most that set, so it
+    is decided as not generating without a search; a set of |M| members
+    decides nothing and is dropped.  Only the choice of seeds comes from
+    theory (a product is total only when both factors are, so these
+    sets tend to miss some units); each verdict rests on computed sizes.
+    Every other candidate is searched, and ``pairs_checked`` counts
+    every pair, searched or not.  The scan holds |M|^2 table entries,
+    and so is gated on n <= PAIR_SEARCH_BOUND; above that the report
+    simply records that the scan did not run.
     """
     n = m.n
     size = len(m)
@@ -653,9 +698,11 @@ def rank_search(m, exhaustive_pairs=False):
     right = list(zip(*product_table(m)))
     ident = rows.index(bytes(range(1, n + 1)))
 
-    def closure(columns):
-        order = [ident]
-        seen = {ident}
+    def closure(columns, order=(ident,), seen=None):
+        """``seen`` grown over the columns: ``order`` lists the members
+        whose products are still to be taken; the others' are in seen."""
+        order = list(order)
+        seen = set(order) if seen is None else seen
         for r in order:
             for column in columns:
                 p = column[r]
@@ -664,16 +711,30 @@ def rank_search(m, exhaustive_pairs=False):
                     order.append(p)
         return seen
 
-    inside = closure([right[i] for i, row in enumerate(rows) if 0 in row])
-    if len(inside) == size:  # C is m itself, and decides nothing
-        inside = ()
+    totals = [i for i, row in enumerate(rows) if 0 not in row]
+    seeds = [right[i] for i, row in enumerate(rows) if 0 in row]
+    inside = closure(seeds)
+    computed = [inside, closure([right[u] for u in totals])]
+    for u in totals:
+        if u != ident:
+            # C is closed under its seeds' columns, so its members need
+            # only u's column; the members that adds need every column
+            new = set(map(right[u].__getitem__, inside)) - inside
+            computed.append(closure([*seeds, right[u]], new, inside | new))
+    # held[i] has bit k set when the k-th proper computed set holds i
+    held = [0] * size
+    for k, members in enumerate(s for s in computed if len(s) < size):
+        for i in members:
+            held[i] |= 1 << k
 
     def generates(i, j):
-        if i in inside and j in inside:
-            return False
         return len(closure((right[i], right[j]))) == size
 
-    singles = tuple(i for i in range(size) if generates(i, i))
-    pairs = tuple((i, j) for i, j in combinations(range(size), 2) if generates(i, j))
+    def undecided(i):
+        """The ordinals j > i that share no proper computed set with i."""
+        return compress(range(i + 1, size), map(not_, map(held[i].__and__, held[i + 1:])))
+
+    singles = tuple(i for i in range(size) if not held[i] and generates(i, i))
+    pairs = tuple((i, j) for i in range(size) for j in undecided(i) if generates(i, j))
     checked = size * (size - 1) // 2
     return RankReport(n, size, triple_ok, size, checked, singles, pairs)

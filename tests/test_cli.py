@@ -17,7 +17,7 @@ from cycliso import (
 import cycliso.congruence
 import cycliso.monoid
 from cycliso import cli
-from cycliso.cli import BUILDERS, main
+from cycliso.cli import main
 
 
 def run(capsys, *argv):
@@ -114,7 +114,7 @@ def test_enumerate_methods_agree(capsys):
 def test_enumerate_lines_are_json_dumps_bytes(method, n, capsys):
     code, out, _ = run(capsys, "enumerate", "--n", str(n), "--method", method)
     assert code == 0
-    m = BUILDERS[method](n)
+    m = getattr(cycliso.monoid, f"build_by_{method}")(n)
     want = [json.dumps(a.to_json(), separators=(",", ":")) + "\n" for a in m]
     # the line lists are equal iff the texts are; a failure names the
     # first differing line, with no diff of the whole text
@@ -148,23 +148,37 @@ def test_count_checks_every_row_before_it_prints(monkeypatch, capsys):
     [
         # one row short: the layout is the longer
         ((1, 2, 0, 0), None),
-        # 1 -> 1 and 3 -> 2 is no isometry, but the rows keep canonical order
+        # 1 -> 1 and 3 -> 2 is no isometry
         ((1, 0, 3, 0), (1, 0, 2, 0)),
+        # a non-isometry besides every row of the layout
+        (None, (1, 0, 2, 0)),
+        # the empty map twice, in place of a row: the lengths agree
+        ((1, 2, 0, 0), (0, 0, 0, 0)),
     ],
-    ids=["row-missing", "row-replaced"],
+    ids=["row-missing", "row-replaced", "row-extra", "row-duplicated"],
 )
 def test_enumerate_prints_nothing_from_a_route_that_differs_from_the_layout(
     old, new, monkeypatch, capsys
 ):
-    m = build_by_restrictions(4)
-    rows = list(m.rows)
-    i = rows.index(bytes(old))
-    rows[i:i + 1] = [bytes(new)] if new else []
-    monoid = FiniteMonoid(4, rows, m.generators)
-    monkeypatch.setitem(cli.BUILDERS, "closure", lambda n: monoid)
+    rows = list(build_by_restrictions(4).rows)
+    i = rows.index(bytes(old)) if old else len(rows)
+    rows[i:i + bool(old)] = [bytes(new)] if new else []
+    # a list, since a set could not hold a row twice
+    monkeypatch.setitem(cli.ROUTES, "closure", lambda n: rows)
     code, out, err = run(capsys, "enumerate", "--n", "4", "--method", "closure")
     assert code == 1 and out == ""
     assert err == "internal error: the closure rows differ from the restriction layout\n"
+
+
+def test_enumerate_closure_neither_sorts_nor_builds_a_monoid(monkeypatch, capsys):
+    def raises(*args):
+        raise AssertionError("sorted or built")
+
+    code, want, _ = run(capsys, "enumerate", "--n", "5")
+    assert code == 0
+    monkeypatch.setattr(cycliso.monoid, "_sorted_canonically", raises)
+    monkeypatch.setattr(FiniteMonoid, "__init__", raises)
+    assert run(capsys, "enumerate", "--n", "5", "--method", "closure") == (0, want, "")
 
 
 def test_enumerate_writes_in_batches(monkeypatch):
@@ -192,11 +206,11 @@ def test_enumerate_writes_in_batches(monkeypatch):
 
 
 def test_enumerate_bruteforce_bound_is_usage_error(monkeypatch, capsys):
-    def no_build(n):
-        raise AssertionError("built the monoid")
+    def no_scan(n):
+        raise AssertionError("scanned the maps")
 
-    # the bound is checked before the build, as green checks the oracle's
-    monkeypatch.setitem(cli.BUILDERS, "bruteforce", no_build)
+    # the bound is checked before the scan, as green checks the oracle's
+    monkeypatch.setitem(cli.ROUTES, "bruteforce", no_scan)
     code, out, err = run(capsys, "enumerate", "--n", "9", "--method", "bruteforce")
     assert code == 2 and out == ""
     assert "bruteforce bound" in err
@@ -527,8 +541,9 @@ def test_running_out_of_memory_is_inconclusive(command):
     assert obj["detail"].startswith("inconclusive (out of memory): ")
 
 
-# the same child with 16 MB to grow by: each command below runs out while
-# it builds the monoid, outside the HLT sweep; at n=16 the monoid's
+# the same child with 16 MB to grow by: each command below runs out
+# outside the HLT sweep, the closure route while it builds its closure
+# and the others while they build the monoid; at n=16 the monoid's
 # buffer alone is 2,096,737 rows of 16 bytes, 33.5 MB
 TIGHT_OUT_OF_MEMORY_CHILD = OUT_OF_MEMORY_CHILD.replace("(24 << 20)", "(16 << 20)")
 

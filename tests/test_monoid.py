@@ -32,7 +32,6 @@ from cycliso import (
 )
 import cycliso.monoid
 import cycliso.partial_perm
-from cycliso.cli import BUILDERS
 from cycliso.dihedral import DihedralElement, symmetry_rows
 from cycliso.monoid import (
     _checked_chunk,
@@ -46,6 +45,12 @@ from cycliso.monoid import (
     restriction_rows,
 )
 from cycliso.partial_perm import canonical_bytes_key, canonical_key, check_row
+
+BUILDERS = {
+    "restrictions": build_by_restrictions,
+    "closure": build_by_closure,
+    "bruteforce": build_by_bruteforce,
+}
 
 # first few values of the closed formula, frozen from an independent
 # evaluation of n 2^(n+1) - ((-1)^n + 5)/4 n^2 - 2n + 1
@@ -1039,13 +1044,16 @@ def generated(n, *gens):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_pair_scan_matches_row_closures_on_proper_submonoids(n):
-    g, e_n = standard_generators(n)["g"], idempotent(n, n)
+    gens, e_n = standard_generators(n), idempotent(n, n)
     # in <g, e_n> the rows that are not total close to a proper submonoid,
-    # which decides most pairs; in <e_(n-1), e_n> they close to the whole
-    # monoid, which must then decide none
+    # which decides most pairs, but with g they close to the whole monoid;
+    # in <e_(n-1), e_n> they close to the whole monoid, which must then
+    # decide none; in <h, e_n>, where |<h>| = 2, they close to the whole
+    # monoid with h
     for sub, pair_count in (
-        (generated(n, g, e_n), {3: 18, 4: 32, 5: 100}[n]),
+        (generated(n, gens["g"], e_n), {3: 18, 4: 32, 5: 100}[n]),
         (generated(n, idempotent(n, n - 1), e_n), 1),
+        (generated(n, gens["h"], e_n), 4),
     ):
         report = rank_search(sub, exhaustive_pairs=True)
         got = (
